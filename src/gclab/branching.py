@@ -20,8 +20,13 @@ from .distributions import Distribution, mean, offspring, sample
 from .errors import DegenerateDistribution, NoThreshold, ZeroMean
 
 DEFAULT_TOL = 1e-12
-MAX_ITERATIONS = 10**6
 DEFAULT_CAP = 10**4
+
+# Newton on the extinction PGF at least halves the distance to the root on
+# every step (ratio 1/2 at a double root, quadratic at a simple one). From
+# distance at most 1, 64 halvings pass 2^-53, the spacing of floats just
+# below 1, so a solve still running after 64 steps is moving in float noise.
+_NEWTON_STEP_BOUND = 64
 
 # Keeps the per-round scratch arrays of the batched tree sampler bounded.
 _DRAW_CHUNK = 8_000_000
@@ -50,16 +55,19 @@ class SurvivalSolution:
 
     ``x_plus`` is the largest root in [0,1] of the one-stage survival
     equation; ``rho`` the two-stage survival probability derived from it.
-    ``residual`` is the defect of the fixed-point equation at the returned
-    x_plus; it exceeds the requested tolerance only when the iteration cap
-    was hit (which happens near criticality, where convergence degrades from
-    geometric to harmonic).
+    ``iterations`` counts Newton steps (0 when the subcritical short-circuit
+    answered). ``residual`` is |E[y^Z] - y| at the returned extinction
+    probability y = 1 - x_plus. ``converged`` is true when a step below the
+    tolerance or the short-circuit ended the solve; it is false only when
+    float noise at a double root (a law within about 1e-8 of criticality)
+    stopped Newton first.
     """
 
     x_plus: float
     rho: float
     iterations: int
     residual: float
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -87,10 +95,16 @@ def _prob_at_least(dist: Distribution, cutoff: int) -> float:
 def solve_x_plus(dist: Distribution, tol: float = DEFAULT_TOL) -> SurvivalSolution:
     """Largest root in [0, 1] of the one-stage survival equation.
 
-    Iterates the extinction probability y <- E[y^Z] from y=0; the iterates
-    increase monotonically to the smallest root of the extinction equation,
-    whose complement is the wanted largest survival root. Stops when the
-    step falls below ``tol`` or after MAX_ITERATIONS, whichever comes first.
+    Its complement is the extinction probability q, the smallest root in
+    [0, 1] of g(y) = E[y^Z] - y. When E[Z] <= 1 extinction is certain (the
+    law has mass on degrees >= 3, so Z is not identically 1) and the solver
+    returns y = 1 exactly, so x_plus = rho = 0. Otherwise it runs Newton on
+    g from y = 0: g is convex and decreasing up to q, so the iterates rise
+    monotonically to q without overshooting, quadratically off criticality.
+    It stops when a step falls below ``tol``. Within about 1e-8 of
+    criticality, float cancellation in g limits rho to an error of about
+    1e-8 (the root is nearly double, so its error is the square root of the
+    rounding in g).
     """
     if mean(dist) <= 0.0:
         raise ZeroMean("survival fixed point needs E(D) > 0")
@@ -102,19 +116,28 @@ def solve_x_plus(dist: Distribution, tol: float = DEFAULT_TOL) -> SurvivalSoluti
     z = offspring(dist)
     zvals = z.support.astype(np.float64)
     zprobs = z.probs
-    y = 0.0
-    iterations = 0
-    while iterations < MAX_ITERATIONS:
-        y_next = float(np.dot(zprobs, y**zvals))
+    # g'(y) = E[Z y^(Z-1)] - 1, summed over Z >= 1 so that y = 0 is defined.
+    moving = zvals > 0.0
+    slope_coeffs = zprobs[moving] * zvals[moving]
+    slope_powers = zvals[moving] - 1.0
+    y, iterations, converged = 0.0, 0, False
+    if mean(z) <= 1.0:
+        y, converged = 1.0, True
+    while not converged and iterations < _NEWTON_STEP_BOUND:
+        slope = float(np.dot(slope_coeffs, y**slope_powers)) - 1.0
+        if slope >= 0.0:
+            break  # only float noise at a double root gets here
+        step = (y - float(np.dot(zprobs, y**zvals))) / slope
+        # Near a double root, noise in g over a tiny slope can throw a step
+        # past q; the extinction probability still cannot exceed 1.
+        y = min(y + step, 1.0)
         iterations += 1
-        step = abs(y_next - y)
-        y = y_next
-        if step < tol:
-            break
-    residual = abs(float(np.dot(zprobs, y**zvals)) - y)
+        converged = abs(step) < tol
     x_plus = 1.0 - y
-    rho_val = 1.0 - float(np.dot(dist.probs, y ** dist.support.astype(np.float64)))
-    return SurvivalSolution(x_plus, rho_val, iterations, residual)
+    # Summing r_i (1 - y^i) keeps rho >= 0 and exactly 0 at y = 1.
+    rho_val = float(np.dot(dist.probs, 1.0 - y ** dist.support.astype(np.float64)))
+    residual = abs(float(np.dot(zprobs, y**zvals)) - y)
+    return SurvivalSolution(x_plus, rho_val, iterations, residual, converged)
 
 
 def rho(dist: Distribution, tol: float = DEFAULT_TOL) -> float:

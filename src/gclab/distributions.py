@@ -10,7 +10,6 @@ truncate first and let the constructor renormalize.
 from __future__ import annotations
 
 import json
-from math import comb
 
 import numpy as np
 
@@ -132,14 +131,31 @@ def offspring(dist: Distribution) -> Distribution:
     return Distribution._from_arrays(biased.support - 1, biased.probs)
 
 
+def _binomial_columns(dist: Distribution, p: float) -> np.ndarray:
+    """Column k is the Binomial(j_k, p) pmf on 0..max_support, j_k the k-th atom.
+
+    Built by the recurrence Bin(j+1) = (1-p) Bin(j) + p Bin(j) shifted by one,
+    a convex combination that cannot overflow and is exact at p = 0 and 1.
+    """
+    check_probability(p)
+    size = dist.max_support + 1
+    row = np.zeros(size, dtype=np.float64)
+    row[0] = 1.0
+    columns = np.empty((size, len(dist.support)), dtype=np.float64)
+    atoms = dist.support.tolist()
+    k = 0
+    for j in range(size):
+        if atoms[k] == j:
+            columns[:, k] = row
+            k += 1
+        row[1:] = (1.0 - p) * row[1:] + p * row[:-1]
+        row[0] *= 1.0 - p
+    return columns
+
+
 def thin(dist: Distribution, p: float) -> Distribution:
     """Binomial(D, p) mixture: each of D items kept independently with prob p."""
-    check_probability(p)
-    dense = np.zeros(dist.max_support + 1, dtype=np.float64)
-    for j, r_j in zip(dist.support, dist.probs):
-        j = int(j)
-        for i in range(j + 1):
-            dense[i] += r_j * comb(j, i) * p**i * (1.0 - p) ** (j - i)
+    dense = _binomial_columns(dist, p) @ dist.probs
     return Distribution._from_arrays(np.arange(len(dense)), dense)
 
 
@@ -148,13 +164,9 @@ def joint_thinning_matrix(dist: Distribution, p: float) -> np.ndarray:
 
     Row sums over j give the thinned pmf; column sums over i recover r_j.
     """
-    check_probability(p)
     size = dist.max_support + 1
     out = np.zeros((size, size), dtype=np.float64)
-    for j, r_j in zip(dist.support, dist.probs):
-        j = int(j)
-        for i in range(j + 1):
-            out[i, j] = r_j * comb(j, i) * p**i * (1.0 - p) ** (j - i)
+    out[:, dist.support] = _binomial_columns(dist, p) * dist.probs
     return out
 
 

@@ -16,6 +16,8 @@ Serialized output is byte-identical across repeated runs with equal flags.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import time
@@ -166,8 +168,7 @@ def cmd_analyze(dist: Distribution, k_max: int = 20) -> dict:
     report["solver_iterations"] = solution.iterations
     report["solver_residual"] = solution.residual
     report["giant_degree_fractions"] = {
-        str(d): dist.pmf(d) * (1.0 - (1.0 - solution.x_plus) ** d)
-        for d in dist.support.tolist()
+        str(d): branching.giant_degree_fraction(dist, d) for d in dist.support.tolist()
     }
     return report
 
@@ -370,14 +371,18 @@ def records_to_csv(records: list[ExperimentRecord]) -> str:
     obs_cols = list(records[0].observed)
     pred_cols = [f"pred_{c}" for c in records[0].predicted]
     columns = param_cols + obs_cols + pred_cols
-    lines = [f"# gclab {kind} v1 columns: {','.join(columns)}"]
-    lines.append(",".join(columns))
+    out = io.StringIO()
+    out.write(f"# gclab {kind} v1 columns: {','.join(columns)}\n")
+    # Minimal quoting: only fields holding a comma or a quote, such as the
+    # property spec max_degree_ball:3,2, are quoted.
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
     for rec in records:
         row = [_format_value(rec.params.get(c)) for c in param_cols]
         row += [_format_value(rec.observed.get(c)) for c in obs_cols]
         row += [_format_value(rec.predicted.get(c[5:])) for c in pred_cols]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        writer.writerow(row)
+    return out.getvalue()
 
 
 def records_to_json(records: list[ExperimentRecord]) -> str:

@@ -9,6 +9,7 @@ recursive enumeration of perfect matchings.
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -78,6 +79,17 @@ def survival_oracle(dist: Distribution) -> tuple[float, float]:
     x_plus = 1.0 - y
     rho = 1.0 - float(np.dot(dist.probs, y ** dist.support.astype(float)))
     return x_plus, rho
+
+
+def joint_thinning_oracle(dist: Distribution, p: float) -> np.ndarray:
+    """Entry (i, j) = r_j * C(j,i) * p^i * (1-p)^(j-i), term by term with
+    exact integer binomial coefficients."""
+    size = int(dist.support[-1]) + 1
+    out = np.zeros((size, size))
+    for j, r_j in zip(dist.support.tolist(), dist.probs.tolist()):
+        for i in range(j + 1):
+            out[i, j] = r_j * comb(j, i) * p**i * (1.0 - p) ** (j - i)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gclab.branching import (
     EXCEEDS_CAP,
@@ -14,7 +16,7 @@ from gclab.branching import (
     tree_property_probability,
 )
 from gclab.census import ComponentSizeExactly, MaxDegreeBall, RootDegree
-from gclab.distributions import Distribution, mean, offspring, thin
+from gclab.distributions import Distribution, mean, offspring, supercriticality, thin
 from gclab.errors import DegenerateDistribution, NoThreshold, ZeroMean
 
 from helpers import enumerate_tree_size_probs, random_distribution, survival_oracle
@@ -39,12 +41,13 @@ def test_x_plus_mixture(mixture):
 
 
 def test_x_plus_critical_boundary(critical_mix):
-    # Double root at y = 1: x_plus = 0; convergence is harmonic, so the
-    # iteration cap may be hit and only the residual is guaranteed small.
+    # Double root at y = 1: E[Z] = 1 exactly, so the solver answers
+    # extinction without iterating and x_plus = rho = 0 exactly.
     sol = solve_x_plus(critical_mix)
-    assert 0.0 <= sol.x_plus <= 5e-6
-    assert 0.0 <= sol.rho <= 1e-5
+    assert sol.x_plus == 0.0
+    assert sol.rho == 0.0
     assert sol.residual <= 1e-10
+    assert sol.converged
 
 
 def test_x_plus_fixed_point_defect_bounded_by_residual(mixture, regular3, rng):
@@ -81,7 +84,55 @@ def test_solver_refuses_degenerate_laws(all_twos, matching_law):
 def test_rho_values(mixture, critical_mix, regular3):
     assert rho(regular3) == pytest.approx(1.0, abs=1e-12)
     assert rho(mixture) == pytest.approx(22 / 27, abs=1e-10)
-    assert rho(critical_mix) == pytest.approx(0.0, abs=1e-5)
+    assert rho(critical_mix) == 0.0
+
+
+def test_rho_near_criticality_matches_closed_form(regular3):
+    # thin(reg3, p) has extinction y = ((1-p)/p)^2 for p > 1/2; the root
+    # approaches the double root at y = 1 as p -> p_c = 1/2.
+    for k in range(1, 7):
+        p = 0.5 + 10.0**-k
+        y = ((1.0 - p) / p) ** 2
+        want = 1.0 - (1.0 - p + p * y) ** 3
+        sol = solve_x_plus(thin(regular3, p))
+        assert abs(sol.rho - want) <= 1e-10
+        assert sol.iterations <= 64
+
+
+def test_subcritical_thinned_laws_give_exactly_zero(mixture, regular3, rng):
+    laws = [mixture, regular3] + [
+        random_distribution(rng, require_degree3=True, criticality_margin=1e-2)
+        for _ in range(10)
+    ]
+    subcritical = 0
+    for d in laws:
+        p_c = critical_percolation(d)
+        for p in np.linspace(0.05, 1.0, 20):
+            sol = solve_x_plus(thin(d, p))
+            assert sol.iterations <= 64
+            assert sol.converged
+            if p < p_c:
+                subcritical += 1
+                assert sol.x_plus == 0.0
+                assert sol.rho == 0.0
+    assert subcritical >= 20
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(
+        st.integers(0, 8), st.floats(0.01, 1.0), min_size=2, max_size=5
+    ).filter(lambda atoms: max(atoms) >= 3)
+)
+def test_x_plus_matches_root_finding_oracle_property(atoms):
+    total = sum(atoms.values())
+    d = Distribution([(v, w / total) for v, w in atoms.items()])
+    assume(abs(supercriticality(d)) >= 1e-2)
+    want_x, want_rho = survival_oracle(d)
+    sol = solve_x_plus(d)
+    assert sol.x_plus == pytest.approx(want_x, abs=1e-7)
+    assert sol.rho == pytest.approx(want_rho, abs=1e-7)
+    assert sol.converged
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from gclab.distributions import (
 )
 from gclab.errors import BadProbability, SpecParseError, ZeroMean
 
-from helpers import random_distribution
+from helpers import joint_thinning_oracle, random_distribution
 
 
 def dense(dist, length):
@@ -208,6 +208,17 @@ def test_joint_matrix_empty_vertex():
     m = joint_thinning_matrix(Distribution([(0, 1.0)]), 0.3)
     assert m.shape == (1, 1)
     assert m[0, 0] == 1.0
+
+
+def test_thinning_matches_term_by_term_oracle(rng):
+    for max_value in (8, 40):
+        for _ in range(10):
+            d = random_distribution(rng, max_value=max_value)
+            p = rng.random()
+            want = joint_thinning_oracle(d, p)
+            np.testing.assert_allclose(joint_thinning_matrix(d, p), want, rtol=1e-12, atol=1e-15)
+            width = d.max_support + 1
+            np.testing.assert_allclose(thin(d, p).dense(width), want.sum(axis=1), atol=1e-12)
 
 
 def test_joint_matrix_marginals(rng):

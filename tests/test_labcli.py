@@ -225,6 +225,24 @@ def test_byte_identical_outputs(mixture_spec, tmp_path):
     assert out_ja.read_bytes() == out_jb.read_bytes()
 
 
+def test_csv_quotes_property_spec_with_comma(mixture_spec, capsys):
+    spec = "max_degree_ball:3,2"
+    code = labcli.main(
+        [
+            "local-census", "--dist", mixture_spec, "--n", "2000", "--seed", "1",
+            "--property", spec, "--samples", "200",
+        ]
+    )
+    assert code == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    rows = read_csv("\n".join(lines))
+    assert len(rows) == 1
+    assert None not in rows[0]  # DictReader files surplus fields under None
+    assert len(rows[0]) == len(header)
+    assert rows[0]["property"] == spec
+
+
 def test_csv_header_is_versioned(mixture_spec, capsys):
     labcli.main(["giant", "--dist", mixture_spec, "--n", "100", "--trials", "1"])
     first_line = capsys.readouterr().out.splitlines()[0]
