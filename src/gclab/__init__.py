@@ -5,22 +5,20 @@ The package is organized around the pipeline used throughout:
 - ``distributions``: finite integer laws and their derived laws.
 - ``branching``: survival fixed point, small-tree table, tree samplers.
 - ``configuration``: degree sequences, uniform pairings, multigraphs.
-- ``census``: components, neighborhoods, local property counts.
+- ``census``: components, local properties and their vectorized counts.
 - ``percolation``: red/blue edge coloring and thinning.
 - ``labcli``: seeded experiment commands and serialization.
 """
 
 from .branching import (
-    EXCEEDS_CAP,
     ProgenyTable,
     SurvivalSolution,
     critical_percolation,
     giant_degree_fraction,
     rho,
     rho_k_table,
-    sample_tree_size,
+    sample_tree_forest,
     sample_tree_sizes,
-    sample_truncated_tree,
     solve_x_plus,
     tree_property_probability,
 )
@@ -32,12 +30,9 @@ from .census import (
     LocalProperty,
     MaxDegreeBall,
     RootDegree,
-    RootedNeighborhood,
     components,
     count_property,
     count_property_in_giant,
-    evaluate_property,
-    neighborhood,
     property_mask,
 )
 from .configuration import (

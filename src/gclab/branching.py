@@ -10,43 +10,30 @@ closed forms) or a seeded Monte Carlo sampler of the tree itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .census import LocalProperty, RootedNeighborhood
-from .census import evaluate_property as _evaluate_property
+from .census import LocalProperty, property_mask
+from .configuration import MultiGraph
 from .distributions import Distribution, mean, offspring, sample
 from .errors import DegenerateDistribution, NoThreshold, ZeroMean
 
 DEFAULT_TOL = 1e-12
 DEFAULT_CAP = 10**4
 
-# Newton on the extinction PGF at least halves the distance to the root on
-# every step (ratio 1/2 at a double root, quadratic at a simple one). From
-# distance at most 1, 64 halvings pass 2^-53, the spacing of floats just
-# below 1, so a solve still running after 64 steps is moving in float noise.
+# Newton on the concave survival function k (see solve_x_plus) rises
+# monotonically to a simple root after its first step, quadratically near
+# it. Measured: at most 9 steps on 9000 random and thinned laws with degrees
+# up to 40, at most 13 on {1: 1-q, N: q} with N up to 10^5. A solve still
+# running after 64 steps is moving in float noise.
 _NEWTON_STEP_BOUND = 64
 
-# Keeps the per-round scratch arrays of the batched tree sampler bounded.
+# Keeps the scratch arrays of the batched tree samplers bounded: draws per
+# round in sample_tree_sizes, expected vertices per forest in
+# tree_property_probability.
 _DRAW_CHUNK = 8_000_000
-
-
-class ExceedsCapType:
-    """Singleton marker: the sampled tree grew past the vertex cap."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ExceedsCap"
-
-
-EXCEEDS_CAP = ExceedsCapType()
 
 
 @dataclass(frozen=True)
@@ -59,8 +46,7 @@ class SurvivalSolution:
     answered). ``residual`` is |E[y^Z] - y| at the returned extinction
     probability y = 1 - x_plus. ``converged`` is true when a step below the
     tolerance or the short-circuit ended the solve; it is false only when
-    float noise at a double root (a law within about 1e-8 of criticality)
-    stopped Newton first.
+    the step bound ran out first.
     """
 
     x_plus: float
@@ -95,16 +81,21 @@ def _prob_at_least(dist: Distribution, cutoff: int) -> float:
 def solve_x_plus(dist: Distribution, tol: float = DEFAULT_TOL) -> SurvivalSolution:
     """Largest root in [0, 1] of the one-stage survival equation.
 
-    Its complement is the extinction probability q, the smallest root in
-    [0, 1] of g(y) = E[y^Z] - y. When E[Z] <= 1 extinction is certain (the
-    law has mass on degrees >= 3, so Z is not identically 1) and the solver
-    returns y = 1 exactly, so x_plus = rho = 0. Otherwise it runs Newton on
-    g from y = 0: g is convex and decreasing up to q, so the iterates rise
-    monotonically to q without overshooting, quadratically off criticality.
-    It stops when a step falls below ``tol``. Within about 1e-8 of
-    criticality, float cancellation in g limits rho to an error of about
-    1e-8 (the root is nearly double, so its error is the square root of the
-    rounding in g).
+    In the survival coordinate x = 1 - y the extinction equation
+    E[y^Z] = y reads h(x) = E[(1-x)^Z] - (1-x) = 0, and h(0) = 0 always.
+    The solver divides that trivial root out and works on
+
+        k(x) = h(x) / x = (1 - E[Z]) + sum_i z_i sum_{0<j<i} (1 - (1-x)^j),
+
+    which is concave and increasing with k(0) = 1 - E[Z]. When E[Z] <= 1
+    (1 - E[Z] is summed exactly from the law's atoms) extinction is certain
+    and x_plus = rho = 0 exactly. Otherwise x_plus is the one root of k in
+    (0, 1], a simple root even at the edge of criticality, where h has a
+    nearly double one. Newton on k starts at x = 1 and stops when a step
+    falls below ``tol``; after its first step the iterates rise
+    monotonically to the root. With 1 - (1-x)^j taken as -expm1(j log1p(-x)),
+    x_plus and rho keep their relative accuracy near criticality, limited
+    by the rounding of the law's probabilities rather than by the solver.
     """
     if mean(dist) <= 0.0:
         raise ZeroMean("survival fixed point needs E(D) > 0")
@@ -114,30 +105,57 @@ def solve_x_plus(dist: Distribution, tol: float = DEFAULT_TOL) -> SurvivalSoluti
             "supported inside {0, 1, 2}"
         )
     z = offspring(dist)
-    zvals = z.support.astype(np.float64)
-    zprobs = z.probs
-    # g'(y) = E[Z y^(Z-1)] - 1, summed over Z >= 1 so that y = 0 is defined.
-    moving = zvals > 0.0
-    slope_coeffs = zprobs[moving] * zvals[moving]
-    slope_powers = zvals[moving] - 1.0
-    y, iterations, converged = 0.0, 0, False
-    if mean(z) <= 1.0:
-        y, converged = 1.0, True
+    # sum_i z_i (1 - i): 1 - E[Z] up to the float normalization of z. Near
+    # criticality it carries the whole answer, so it is summed exactly: each
+    # probability is n / 2^e, so integers over the largest 2^e hold the sum,
+    # and int / int rounds once.
+    ratios = [p.as_integer_ratio() for p in z.probs.tolist()]
+    den = max(d for _, d in ratios)
+    excess = sum(n * (den // d) * (1 - i) for (n, d), i in zip(ratios, z.support.tolist())) / den
+    x, iterations, converged = 1.0, 0, False
+    if excess >= 0.0:
+        x, converged = 0.0, True
     while not converged and iterations < _NEWTON_STEP_BOUND:
-        slope = float(np.dot(slope_coeffs, y**slope_powers)) - 1.0
-        if slope >= 0.0:
-            break  # only float noise at a double root gets here
-        step = (y - float(np.dot(zprobs, y**zvals))) / slope
-        # Near a double root, noise in g over a tiny slope can throw a step
-        # past q; the extinction probability still cannot exceed 1.
-        y = min(y + step, 1.0)
+        gap, slope = _survival_gap(z, excess, x)
+        step = gap / slope
+        x = min(max(x - step, 0.0), 1.0)
         iterations += 1
         converged = abs(step) < tol
-    x_plus = 1.0 - y
-    # Summing r_i (1 - y^i) keeps rho >= 0 and exactly 0 at y = 1.
-    rho_val = float(np.dot(dist.probs, 1.0 - y ** dist.support.astype(np.float64)))
-    residual = abs(float(np.dot(zprobs, y**zvals)) - y)
-    return SurvivalSolution(x_plus, rho_val, iterations, residual, converged)
+    # 1 - (1-x)^i summed as -expm1: rho >= 0, exactly 0 at x = 0, and
+    # accurate when x is tiny.
+    atoms = dist.support > 0
+    rho_val = 0.0 - float(np.dot(dist.probs[atoms], np.expm1(dist.support[atoms] * _log1m(x))))
+    y = 1.0 - x
+    residual = abs(float(np.dot(z.probs, y ** z.support.astype(np.float64))) - y)
+    return SurvivalSolution(x, rho_val, iterations, residual, converged)
+
+
+def _log1m(x: float) -> float:
+    """log(1 - x), with log(0) = -inf and no warning at x = 1."""
+    return float(np.log1p(-x)) if x < 1.0 else -np.inf
+
+
+def _survival_gap(z: Distribution, excess: float, x: float) -> tuple[float, float]:
+    """k(x) and k'(x) of solve_x_plus for the offspring law z.
+
+    k has two algebraically equal forms, excess + sum_i z_i W_i(x) and
+    (x - sum_i z_i (1 - (1-x)^i)) / x. Float rounding in each grows with
+    the magnitudes it sums, so the smaller one is used: the first near
+    x = 0, where the second cancels, the second further out, where the
+    first cancels for high degrees.
+    """
+    j = np.arange(1, z.max_support + 1, dtype=np.float64)
+    lost = -np.expm1(j * _log1m(x))  # 1 - (1-x)^j, j = 1..max Z
+    # w[i] = W_i(x) = sum_{0<j<i} (1 - (1-x)^j); v[i] = W_i'(x).
+    w = np.concatenate(([0.0, 0.0], np.cumsum(lost[:-1])))
+    v = np.concatenate(([0.0, 0.0], np.cumsum(j[:-1] * (1.0 - x) ** (j[:-1] - 1.0))))
+    near = float(np.dot(z.probs, w[z.support]))
+    gap = excess + near
+    if x > 0.0:
+        lost_mass = float(np.dot(z.probs, np.concatenate(([0.0], lost))[z.support]))
+        if (x + lost_mass) / x < abs(excess) + near:
+            gap = (x - lost_mass) / x
+    return gap, float(np.dot(z.probs, v[z.support]))
 
 
 def rho(dist: Distribution, tol: float = DEFAULT_TOL) -> float:
@@ -228,59 +246,59 @@ def sample_tree_sizes(
     return sizes
 
 
-def sample_tree_size(dist: Distribution, rng: np.random.Generator, cap: int = DEFAULT_CAP):
-    """Size of one two-stage tree, or EXCEEDS_CAP once it outgrows ``cap``."""
-    size = int(sample_tree_sizes(dist, 1, rng, cap)[0])
-    return size if size <= cap else EXCEEDS_CAP
+def sample_tree_forest(
+    dist: Distribution, n_trees: int, rng: np.random.Generator, depth: int
+) -> MultiGraph:
+    """Independent two-stage trees cut at ``depth``, as one disjoint forest.
 
-
-def sample_truncated_tree(
-    dist: Distribution, rng: np.random.Generator, t: int
-) -> RootedNeighborhood:
-    """The two-stage tree cut at depth t, as a rooted neighborhood.
-
-    Vertices at depth t are kept but their children are not instantiated, so
-    their recorded degree understates the full tree; properties that look at
-    degrees up to distance t-1 remain faithful.
+    Roots are vertices 0..n_trees-1; the vertices of each later level
+    follow those of the level before it. The root offspring counts come
+    from one draw of ``dist``, each later level's from one draw of the
+    offspring law over the whole level. Vertices at ``depth`` keep the edge
+    to their parent but get no children, so their degree understates the
+    full tree; every vertex closer to its root has its full degree.
     """
-    if t < 0:
+    if depth < 0:
         raise ValueError("depth must be >= 0")
-    if t == 0:
-        return RootedNeighborhood(
-            root=0,
-            depth=0,
-            vertices=np.array([0], dtype=np.int64),
-            distances=np.array([0], dtype=np.int64),
-            edges=np.empty((0, 2), dtype=np.int64),
-            is_tree=True,
-        )
-    # A zero-mean law pins the root's count at 0; the offspring law is then
-    # never consulted, so only derive it when it exists.
-    z = offspring(dist) if mean(dist) > 0.0 else None
-    parents = [-1]
-    depths = [0]
-    frontier = [0]
-    for depth in range(1, t + 1):
-        if not frontier:
+    if n_trees < 0:
+        raise ValueError("n_trees must be >= 0")
+    frontier = np.arange(n_trees, dtype=np.int64)
+    parents = [np.empty(0, dtype=np.int64)]
+    law = dist
+    for level in range(depth):
+        if not frontier.size:
             break
-        if depth == 1:
-            counts = [sample(dist, rng)]
+        if level == 1:
+            # Only reached when some root has a child, so E(D) > 0 and the
+            # offspring law exists; a zero-mean law never asks for it.
+            law = offspring(dist)
+        children = np.repeat(frontier, sample(law, rng, size=frontier.size))
+        parents.append(children)
+        first = frontier[-1] + 1  # ids run level by level
+        frontier = np.arange(first, first + children.size, dtype=np.int64)
+    parent = np.concatenate(parents)
+    child = np.arange(n_trees, n_trees + parent.size, dtype=np.int64)
+    return MultiGraph(n_trees + parent.size, np.column_stack((parent, child)))
+
+
+def _roots_per_forest(dist: Distribution, depth: int) -> int:
+    """Trees per forest so that a forest has about _DRAW_CHUNK vertices.
+
+    A tree cut at ``depth`` has 1 + E(D) (1 + E(Z) + ... + E(Z)^(depth-1))
+    vertices on average. At least one tree goes in every forest.
+    """
+    size = 1.0
+    mean_d = mean(dist)
+    if depth and mean_d > 0.0:
+        growth = mean(offspring(dist))
+        if growth == 1.0:
+            size += mean_d * depth
         else:
-            counts = sample(z, rng, size=len(frontier)).tolist()
-        nxt = []
-        for parent, c in zip(frontier, counts):
-            for _ in range(int(c)):
-                node = len(parents)
-                parents.append(parent)
-                depths.append(depth)
-                nxt.append(node)
-        frontier = nxt
-    vertices = np.arange(len(parents), dtype=np.int64)
-    distances = np.array(depths, dtype=np.int64)
-    edges = np.array(
-        [(parents[v], v) for v in range(1, len(parents))], dtype=np.int64
-    ).reshape(-1, 2)
-    return RootedNeighborhood(0, int(t), vertices, distances, edges, True)
+            # The geometric sum in closed form; capping the exponent keeps
+            # expm1 finite, and past e^690 one tree per forest is the answer.
+            log_power = depth * math.log(growth) if growth > 0.0 else -math.inf
+            size += mean_d * math.expm1(min(log_power, 690.0)) / (growth - 1.0)
+    return max(1, int(_DRAW_CHUNK // size))
 
 
 def tree_property_probability(
@@ -291,18 +309,19 @@ def tree_property_probability(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the probability that the limit tree has prop.
 
-    Returns (estimate, 95% normal-approximation half-width). The tree is
-    drawn truncated at the property's own radius, which by locality is
-    enough to decide it.
+    Returns (estimate, 95% normal-approximation half-width). The trees are
+    drawn as forests cut at the property's own radius, which by locality
+    decides it at every root, and ``property_mask`` reads it off the roots.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
     radius = prop.radius  # raises UnboundedRadius for radius-free properties
+    per_forest = _roots_per_forest(dist, radius)
     hits = 0
-    for _ in range(samples):
-        tree = sample_truncated_tree(dist, rng, radius)
-        if _evaluate_property(tree, prop):
-            hits += 1
+    for start in range(0, samples, per_forest):
+        roots = min(per_forest, samples - start)
+        forest = sample_tree_forest(dist, roots, rng, radius)
+        hits += int(np.count_nonzero(property_mask(forest, prop)[:roots]))
     estimate = hits / samples
     half_width = 1.96 * float(np.sqrt(estimate * (1.0 - estimate) / samples))
     return estimate, half_width

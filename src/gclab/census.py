@@ -1,16 +1,16 @@
-"""Component statistics, rooted neighborhoods, and local property counts.
+"""Component statistics and local property counts.
 
 A "local property" is a predicate of a rooted graph that only looks at the
 ball of some finite radius around the root; the built-in kinds below cover
 component-size predicates, the root-degree predicate, and the bounded-degree
-ball predicate used by the concentration machinery. Counting vertices with a
-property runs in one vectorized pass (census or frontier expansion), never
-one BFS per vertex, except inside ``neighborhood`` itself.
+ball predicate used by the concentration machinery. ``property_mask``
+decides a property at every vertex in one vectorized pass (census or
+frontier expansion), never one BFS per vertex; it is the one evaluator,
+for sampled graphs and for forests of limit trees alike.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .configuration import MultiGraph
-from .errors import InsufficientRadius, UnboundedRadius
+from .errors import UnboundedRadius
 
 
 class ComponentCensus:
@@ -91,78 +91,6 @@ def components(graph: MultiGraph) -> ComponentCensus:
     return ComponentCensus(label_sizes[order], rank[labels])
 
 
-@dataclass(eq=False)
-class RootedNeighborhood:
-    """Induced subgraph within distance ``depth`` of ``root``, with distances.
-
-    ``vertices`` lists original ids in BFS order (root first); ``distances``
-    is parallel to it. ``edges`` holds every edge of the host graph between
-    included vertices, loops included, each once.
-    """
-
-    root: int
-    depth: int
-    vertices: np.ndarray
-    distances: np.ndarray
-    edges: np.ndarray
-    is_tree: bool
-
-    @property
-    def size(self) -> int:
-        return int(self.vertices.size)
-
-    def degree_of(self, vertex: int) -> int:
-        counter = self._degree_counter()
-        return counter.get(int(vertex), 0)
-
-    def _degree_counter(self) -> Counter:
-        cached = getattr(self, "_degrees", None)
-        if cached is None:
-            cached = Counter(int(x) for x in np.asarray(self.edges).ravel())
-            self._degrees = cached
-        return cached
-
-
-def neighborhood(graph: MultiGraph, root: int, t: int) -> RootedNeighborhood:
-    """BFS ball of radius t around root, as an induced rooted subgraph."""
-    if not (0 <= root < graph.n):
-        raise ValueError("root outside vertex range")
-    if t < 0:
-        raise ValueError("radius must be >= 0")
-    indptr, nbrs = graph.adjacency_csr()
-    dist = {int(root): 0}
-    order = [int(root)]
-    frontier = [int(root)]
-    for d in range(1, t + 1):
-        nxt = []
-        for u in frontier:
-            for w in nbrs[indptr[u] : indptr[u + 1]]:
-                w = int(w)
-                if w not in dist:
-                    dist[w] = d
-                    order.append(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    inc_ptr, inc_eid = graph.incidence_csr()
-    eids = set()
-    for u in order:
-        for eid in inc_eid[inc_ptr[u] : inc_ptr[u + 1]]:
-            eids.add(int(eid))
-    kept = []
-    for eid in eids:
-        u, v = graph.edges[eid]
-        if int(u) in dist and int(v) in dist:
-            kept.append((int(u), int(v)))
-    kept.sort()
-    edges = np.array(kept, dtype=np.int64).reshape(-1, 2)
-    vertices = np.array(order, dtype=np.int64)
-    distances = np.array([dist[u] for u in order], dtype=np.int64)
-    is_tree = edges.shape[0] == vertices.size - 1 and not any(u == v for u, v in kept)
-    return RootedNeighborhood(int(root), int(t), vertices, distances, edges, bool(is_tree))
-
-
 class LocalProperty:
     """Rooted-graph predicate decided by a finite-radius ball around the root."""
 
@@ -217,50 +145,6 @@ class Conjunction(LocalProperty):
     @property
     def radius(self) -> int:
         return max((p.radius for p in self.parts), default=0)
-
-
-def evaluate_property(
-    nbhd: RootedNeighborhood,
-    prop: LocalProperty,
-    census_hint: ComponentCensus | None = None,
-) -> bool:
-    """Decide ``prop`` for the root of ``nbhd``.
-
-    The neighborhood must be at least as deep as the property's radius; the
-    component-size kinds alternatively accept a whole-graph census, which is
-    equivalent by definition and lets callers skip deep BFS balls.
-    """
-    if isinstance(prop, Conjunction):
-        return all(evaluate_property(nbhd, part, census_hint) for part in prop.parts)
-    if isinstance(prop, (ComponentSizeExactly, ComponentSizeAtLeast)):
-        if census_hint is not None:
-            size = int(census_hint.sizes[census_hint.component_id[nbhd.root]])
-            if isinstance(prop, ComponentSizeExactly):
-                return size == prop.k
-            return size >= prop.k
-        _require_depth(nbhd, prop)
-        # With radius >= k (resp. k-1), the ball determines the component:
-        # a ball with every vertex strictly inside is the whole component.
-        if isinstance(prop, ComponentSizeExactly):
-            return nbhd.size == prop.k
-        return nbhd.size >= prop.k
-    _require_depth(nbhd, prop)
-    if isinstance(prop, RootDegree):
-        return nbhd.degree_of(nbhd.root) == prop.d
-    if isinstance(prop, MaxDegreeBall):
-        degrees = nbhd._degree_counter()
-        for vertex, dist in zip(nbhd.vertices, nbhd.distances):
-            if dist <= prop.t and degrees.get(int(vertex), 0) > prop.delta:
-                return False
-        return True
-    raise TypeError(f"unknown property kind {type(prop).__name__}")
-
-
-def _require_depth(nbhd: RootedNeighborhood, prop: LocalProperty) -> None:
-    if nbhd.depth < prop.radius:
-        raise InsufficientRadius(
-            f"property needs radius {prop.radius}, neighborhood has depth {nbhd.depth}"
-        )
 
 
 def property_mask(

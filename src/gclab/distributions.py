@@ -203,7 +203,14 @@ def from_json_doc(doc) -> Distribution:
     for entry in masses:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise SpecParseError(f"bad mass entry {entry!r}; want [value, probability]")
-        pairs.append((entry[0], entry[1]))
+        value, prob = entry
+        # JSON true/false load as bool, a subclass of int; 1.5 must not
+        # truncate to 1 and "0.5" must not parse as a number.
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SpecParseError(f"support value {value!r} is not an integer")
+        if isinstance(prob, bool) or not isinstance(prob, (int, float)):
+            raise SpecParseError(f"probability {prob!r} is not a number")
+        pairs.append((value, prob))
     try:
         return Distribution(pairs)
     except (ValueError, TypeError) as exc:

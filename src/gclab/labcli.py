@@ -457,7 +457,24 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
+# Size flags that must be >= 1; whichever of them a subcommand has.
+_POSITIVE_FLAGS = ("n", "trials", "kmax", "samples", "max_attempts")
+
+
+def _check_flags(args) -> None:
+    """Refuse sizes below 1 and negative seeds before any work starts."""
+    for name in _POSITIVE_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise SpecParseError(f"{flag} must be >= 1, got {value}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise SpecParseError(f"--seed must be >= 0, got {seed}")
+
+
 def run(args) -> int:
+    _check_flags(args)
     dist = distributions.load_spec(args.dist)
     if args.command == "analyze":
         report = cmd_analyze(dist, args.kmax)

@@ -2,19 +2,31 @@
 
 The oracles here deliberately avoid the production code paths: tree-size
 probabilities come from explicit enumeration of preorder offspring sequences,
-survival probabilities from polynomial root finding, and matching laws from
-recursive enumeration of perfect matchings.
+survival probabilities from polynomial root finding, matching laws from
+recursive enumeration of perfect matchings, and local properties from one
+BFS ball per vertex decided by looking at the ball alone.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import comb
 
 import numpy as np
 
+from gclab.census import (
+    ComponentSizeAtLeast,
+    ComponentSizeExactly,
+    Conjunction,
+    LocalProperty,
+    MaxDegreeBall,
+    RootDegree,
+)
 from gclab.configuration import DegreeSequence, MultiGraph
 from gclab.distributions import Distribution, mean, offspring, supercriticality
+from gclab.errors import InsufficientRadius
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +93,37 @@ def survival_oracle(dist: Distribution) -> tuple[float, float]:
     return x_plus, rho
 
 
+def survival_oracle_exact(dist: Distribution) -> tuple[float, float]:
+    """(x_plus, rho) of the law exactly as stored in floats.
+
+    Bisects over floats on the sign of k(x) = 1 - sum_{i>=1} z_i sum_{j<i}
+    (1-x)^j (the survival equation with its trivial root x = 0 divided
+    out), evaluated in exact rationals, so the answer is the float next to
+    the true root of the stored law however close it is to criticality.
+    Cost grows fast with the largest degree; keep degrees small.
+    """
+    z = offspring(dist)
+    atoms = [(int(i), Fraction(float(p))) for i, p in zip(z.support, z.probs)]
+    total = sum(p for _, p in atoms)
+
+    def k(x: float) -> Fraction:
+        s = 1 - Fraction(x)
+        return total - sum(p * sum(s**j for j in range(i)) for i, p in atoms if i >= 1)
+
+    if k(0.0) >= 0:
+        return 0.0, 0.0
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if k(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    r = [(int(i), Fraction(float(p))) for i, p in zip(dist.support, dist.probs)]
+    s = 1 - Fraction(hi)
+    rho = sum(p * (1 - s**i) for i, p in r) / sum(p for _, p in r)
+    return hi, float(rho)
+
+
 def joint_thinning_oracle(dist: Distribution, p: float) -> np.ndarray:
     """Entry (i, j) = r_j * C(j,i) * p^i * (1-p)^(j-i), term by term with
     exact integer binomial coefficients."""
@@ -90,6 +133,104 @@ def joint_thinning_oracle(dist: Distribution, p: float) -> np.ndarray:
         for i in range(j + 1):
             out[i, j] = r_j * comb(j, i) * p**i * (1.0 - p) ** (j - i)
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-vertex local property oracle
+
+
+@dataclass(eq=False)
+class RootedNeighborhood:
+    """Induced subgraph within distance ``depth`` of ``root``, with distances.
+
+    ``vertices`` lists original ids in BFS order (root first); ``distances``
+    is parallel to it. ``edges`` holds every edge of the host graph between
+    included vertices, loops included, each once.
+    """
+
+    root: int
+    depth: int
+    vertices: np.ndarray
+    distances: np.ndarray
+    edges: np.ndarray
+    is_tree: bool
+
+    @property
+    def size(self) -> int:
+        return int(self.vertices.size)
+
+    def degree_of(self, vertex: int) -> int:
+        """Edge ends at ``vertex`` inside the ball; a loop counts twice."""
+        return int(np.count_nonzero(self.edges == vertex))
+
+
+def neighborhood(graph: MultiGraph, root: int, t: int) -> RootedNeighborhood:
+    """BFS ball of radius t around root, as an induced rooted subgraph."""
+    if not (0 <= root < graph.n):
+        raise ValueError("root outside vertex range")
+    if t < 0:
+        raise ValueError("radius must be >= 0")
+    indptr, nbrs = graph.adjacency_csr()
+    dist = {int(root): 0}
+    order = [int(root)]
+    frontier = [int(root)]
+    for d in range(1, t + 1):
+        nxt = []
+        for u in frontier:
+            for w in nbrs[indptr[u] : indptr[u + 1]]:
+                w = int(w)
+                if w not in dist:
+                    dist[w] = d
+                    order.append(w)
+                    nxt.append(w)
+        if not nxt:
+            break
+        frontier = nxt
+    inc_ptr, inc_eid = graph.incidence_csr()
+    eids = set()
+    for u in order:
+        for eid in inc_eid[inc_ptr[u] : inc_ptr[u + 1]]:
+            eids.add(int(eid))
+    kept = []
+    for eid in eids:
+        u, v = graph.edges[eid]
+        if int(u) in dist and int(v) in dist:
+            kept.append((int(u), int(v)))
+    kept.sort()
+    edges = np.array(kept, dtype=np.int64).reshape(-1, 2)
+    vertices = np.array(order, dtype=np.int64)
+    distances = np.array([dist[u] for u in order], dtype=np.int64)
+    is_tree = edges.shape[0] == vertices.size - 1 and not any(u == v for u, v in kept)
+    return RootedNeighborhood(int(root), int(t), vertices, distances, edges, bool(is_tree))
+
+
+def evaluate_property(nbhd: RootedNeighborhood, prop: LocalProperty) -> bool:
+    """Decide ``prop`` for the root of ``nbhd`` from the ball alone.
+
+    The ball must be at least as deep as the property's radius. With radius
+    >= k (resp. k-1) a ball with every vertex strictly inside is the whole
+    component, and with radius >= t+1 every vertex within distance t has
+    all its edges in the ball.
+    """
+    if isinstance(prop, Conjunction):
+        return all(evaluate_property(nbhd, part) for part in prop.parts)
+    if nbhd.depth < prop.radius:
+        raise InsufficientRadius(
+            f"property needs radius {prop.radius}, neighborhood has depth {nbhd.depth}"
+        )
+    if isinstance(prop, ComponentSizeExactly):
+        return nbhd.size == prop.k
+    if isinstance(prop, ComponentSizeAtLeast):
+        return nbhd.size >= prop.k
+    if isinstance(prop, RootDegree):
+        return nbhd.degree_of(nbhd.root) == prop.d
+    if isinstance(prop, MaxDegreeBall):
+        return all(
+            nbhd.degree_of(v) <= prop.delta
+            for v, d in zip(nbhd.vertices.tolist(), nbhd.distances.tolist())
+            if d <= prop.t
+        )
+    raise TypeError(f"unknown property kind {type(prop).__name__}")
 
 
 # ---------------------------------------------------------------------------

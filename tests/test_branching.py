@@ -3,23 +3,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gclab import branching
 from gclab.branching import (
-    EXCEEDS_CAP,
     critical_percolation,
     giant_degree_fraction,
     rho,
     rho_k_table,
-    sample_tree_size,
+    sample_tree_forest,
     sample_tree_sizes,
-    sample_truncated_tree,
     solve_x_plus,
     tree_property_probability,
 )
-from gclab.census import ComponentSizeExactly, MaxDegreeBall, RootDegree
+from gclab.census import ComponentSizeExactly, MaxDegreeBall, RootDegree, components
 from gclab.distributions import Distribution, mean, offspring, supercriticality, thin
 from gclab.errors import DegenerateDistribution, NoThreshold, ZeroMean
 
-from helpers import enumerate_tree_size_probs, random_distribution, survival_oracle
+from helpers import (
+    enumerate_tree_size_probs,
+    neighborhood,
+    random_distribution,
+    survival_oracle,
+    survival_oracle_exact,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +102,50 @@ def test_rho_near_criticality_matches_closed_form(regular3):
         sol = solve_x_plus(thin(regular3, p))
         assert abs(sol.rho - want) <= 1e-10
         assert sol.iterations <= 64
+
+
+def test_rho_relative_accuracy_at_the_edge_of_criticality(regular3):
+    # Same closed form, written without cancellation: with e = p - 1/2
+    # (exact in floats) and u = 1 - (1-p)/p = 4e/(1+2e), rho = u(3 - 3u + u^2).
+    for k in range(7, 12):
+        p = 0.5 + 10.0**-k
+        u = 4.0 * (p - 0.5) / (1.0 + 2.0 * (p - 0.5))
+        want = u * (3.0 - 3.0 * u + u * u)
+        sol = solve_x_plus(thin(regular3, p))
+        assert abs(sol.rho - want) <= 1e-6 * want
+        assert sol.converged
+
+
+def test_near_critical_solves_match_exact_rational_oracle(mixture, regular3, rng):
+    # Against the root of each stored law in exact rationals, the relative
+    # error stays at float rounding however close the law is to criticality.
+    laws = [mixture, regular3] + [
+        random_distribution(rng, max_value=6, require_degree3=True, criticality_margin=1e-2)
+        for _ in range(3)
+    ]
+    for base in laws:
+        p_c = critical_percolation(base)
+        for k in range(3, 13):
+            p = p_c * (1.0 + 10.0**-k)
+            if p > 1.0:
+                continue
+            law = thin(base, p)
+            want_x, want_rho = survival_oracle_exact(law)
+            sol = solve_x_plus(law)
+            assert sol.converged
+            assert abs(sol.x_plus - want_x) <= 1e-12 * want_x
+            assert abs(sol.rho - want_rho) <= 1e-12 * want_rho
+
+
+def test_solver_converges_on_high_degree_laws():
+    # One rare huge degree puts the root far from x = 0, where the form of
+    # k built on 1 - E[Z] cancels against sums of size E[Z].
+    for q in (0.5, 0.1, 0.01, 0.002):
+        for top in (10, 1_000, 10_000, 100_000):
+            sol = solve_x_plus(Distribution([(1, 1.0 - q), (top, q)]))
+            assert sol.converged
+            assert sol.iterations <= 20
+            assert sol.residual <= 1e-12
 
 
 def test_subcritical_thinned_laws_give_exactly_zero(mixture, regular3, rng):
@@ -242,13 +291,13 @@ def test_threshold_is_unit_mean_offspring_point(rng, mixture, regular3):
 
 
 def test_sample_tree_size_forced(matching_law, rng):
-    for _ in range(50):
-        assert sample_tree_size(matching_law, rng, cap=100) == 2
+    sizes = sample_tree_sizes(matching_law, 50, rng, cap=100)
+    assert (sizes == 2).all()
 
 
 def test_sample_tree_size_always_exceeds(regular3, rng):
-    for _ in range(20):
-        assert sample_tree_size(regular3, rng, cap=10_000) is EXCEEDS_CAP
+    sizes = sample_tree_sizes(regular3, 20, rng, cap=10_000)
+    assert (sizes > 10_000).all()
 
 
 def test_sample_tree_sizes_matches_table(mixture):
@@ -269,27 +318,54 @@ def test_sample_tree_sizes_deterministic(mixture):
     np.testing.assert_array_equal(a, b)
 
 
+def _is_tree(graph):
+    loops = graph.edges[:, 0] == graph.edges[:, 1]
+    return graph.num_edges == graph.n - 1 and not loops.any() and components(graph).largest == graph.n
+
+
 def test_truncated_tree_depth_zero(mixture, rng):
-    tree = sample_truncated_tree(mixture, rng, 0)
-    assert tree.size == 1
+    tree = sample_tree_forest(mixture, 1, rng, 0)
+    assert tree.n == 1
     assert tree.edges.shape == (0, 2)
-    assert tree.is_tree
+    assert _is_tree(tree)
 
 
 def test_truncated_tree_regular_depth_two(regular3, rng):
     # Deterministic counts: 1 root + 3 children + 6 grandchildren.
     for _ in range(5):
-        tree = sample_truncated_tree(regular3, rng, 2)
-        assert tree.size == 10
+        tree = sample_tree_forest(regular3, 1, rng, 2)
+        assert tree.n == 10
         assert tree.edges.shape[0] == 9
-        assert tree.is_tree
-        assert int(tree.distances.max()) == 2
+        assert _is_tree(tree)
+        assert int(neighborhood(tree, 0, 10).distances.max()) == 2
+    forest = sample_tree_forest(regular3, 5, rng, 2)
+    assert forest.n == 50 and forest.num_edges == 45
+    assert (components(forest).sizes == 10).all()
+    np.testing.assert_array_equal(forest.degrees()[:5], 3)
 
 
 def test_truncated_tree_isolated_root(rng):
+    # A zero-mean law has no offspring law; the sampler must not ask for it.
     lonely = Distribution([(0, 1.0)])
-    tree = sample_truncated_tree(lonely, rng, 3)
-    assert tree.size == 1 and tree.edges.shape[0] == 0
+    tree = sample_tree_forest(lonely, 1, rng, 3)
+    assert tree.n == 1 and tree.edges.shape[0] == 0
+    forest = sample_tree_forest(lonely, 4, rng, 3)
+    assert forest.n == 4 and forest.num_edges == 0
+
+
+def test_forest_levels_follow_the_laws(mixture):
+    # Roots draw from D, every later vertex from Z: degree 1 + Z off the root.
+    rng = np.random.default_rng(11)
+    n_trees = 20_000
+    forest = sample_tree_forest(mixture, n_trees, rng, 2)
+    degrees = forest.degrees()
+    roots, level1 = degrees[:n_trees], degrees[n_trees : n_trees + int(degrees[:n_trees].sum())]
+    assert set(np.unique(roots).tolist()) <= {1, 3}
+    assert abs(float((roots == 3).mean()) - 0.5) <= 4 * np.sqrt(0.25 / n_trees)
+    z = offspring(mixture)  # Z = 2 w.p. 3/4, else 0
+    assert set(np.unique(level1 - 1).tolist()) <= set(z.support.tolist())
+    share = float((level1 == 3).mean())
+    assert abs(share - 0.75) <= 4 * np.sqrt(0.75 * 0.25 / level1.size)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +383,37 @@ def test_tree_probability_size_two_matches_table(mixture):
     rng = np.random.default_rng(77)
     est, hw = tree_property_probability(mixture, ComponentSizeExactly(2), 40_000, rng)
     assert abs(est - 1 / 8) <= hw + 0.005
+
+
+def test_tree_probability_component_sizes_match_table(mixture):
+    table = rho_k_table(mixture, 5)
+    samples = 40_000
+    for k in range(1, 6):
+        rng = np.random.default_rng(100 + k)
+        est, _ = tree_property_probability(mixture, ComponentSizeExactly(k), samples, rng)
+        p_k = table.prob_size(k)
+        assert abs(est - p_k) <= 4 * np.sqrt(p_k * (1 - p_k) / samples)
+
+
+def test_tree_probability_deterministic_per_seed(mixture):
+    prop = MaxDegreeBall(3, 1)
+    a = tree_property_probability(mixture, prop, 5_000, np.random.default_rng(3))
+    b = tree_property_probability(mixture, prop, 5_000, np.random.default_rng(3))
+    assert a == b
+
+
+def test_tree_probability_splits_roots_into_forests(monkeypatch, mixture, matching_law, regular3, rng):
+    # Radius 1 draws only the root counts, one uniform per root, so the
+    # split into forests cannot change the estimate.
+    whole = tree_property_probability(mixture, RootDegree(3), 999, np.random.default_rng(4))
+    # A draw budget below one tree's size still puts one root in each forest
+    # and counts every sample once.
+    monkeypatch.setattr(branching, "_DRAW_CHUNK", 1)
+    assert tree_property_probability(mixture, RootDegree(3), 999, np.random.default_rng(4)) == whole
+    assert tree_property_probability(matching_law, ComponentSizeExactly(2), 7, rng) == (1.0, 0.0)
+    assert tree_property_probability(regular3, RootDegree(3), 5, rng) == (1.0, 0.0)
+    monkeypatch.setattr(branching, "_DRAW_CHUNK", 45)  # 4.5 trees of 10 vertices
+    assert tree_property_probability(regular3, MaxDegreeBall(3, 1), 13, rng) == (1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gclab.branching import tree_property_probability
+from gclab.branching import sample_tree_forest, tree_property_probability
 from gclab.census import (
     ComponentSizeAtLeast,
     ComponentSizeExactly,
@@ -11,14 +13,13 @@ from gclab.census import (
     components,
     count_property,
     count_property_in_giant,
-    evaluate_property,
-    neighborhood,
     property_mask,
 )
 from gclab.configuration import MultiGraph, sample_degree_sequence, sample_pairing, to_multigraph
+from gclab.distributions import Distribution
 from gclab.errors import InsufficientRadius
 
-from helpers import random_multigraph
+from helpers import evaluate_property, neighborhood, random_multigraph
 
 
 @pytest.fixture(scope="module")
@@ -134,16 +135,18 @@ def test_neighborhood_counts_parallel_edges_and_loops():
     assert ball.edges.shape[0] == 3
     assert not ball.is_tree
     assert ball.degree_of(1) == 4  # two parallel + loop twice
+    assert g.degrees()[1] == 4
 
 
 # ---------------------------------------------------------------------------
-# property evaluation
+# property evaluation: the per-vertex ball oracle against property_mask
 
 
 def test_evaluate_max_degree_ball_rejects_heavy_root():
     g = MultiGraph(5, [[0, v] for v in range(1, 5)])
     ball = neighborhood(g, 0, 2)
     assert not evaluate_property(ball, MaxDegreeBall(3, 1))
+    assert not property_mask(g, MaxDegreeBall(3, 1))[0]
 
 
 def test_evaluate_component_size_on_isolated_edge():
@@ -151,12 +154,15 @@ def test_evaluate_component_size_on_isolated_edge():
     ball = neighborhood(g, 0, 2)
     assert evaluate_property(ball, ComponentSizeExactly(2))
     assert not evaluate_property(ball, ComponentSizeAtLeast(3))
+    assert property_mask(g, ComponentSizeExactly(2))[0]
+    assert not property_mask(g, ComponentSizeAtLeast(3))[0]
 
 
 def test_evaluate_root_degree_with_loop():
     g = MultiGraph(2, [[0, 0], [0, 1]])
     ball = neighborhood(g, 0, 1)
     assert evaluate_property(ball, RootDegree(3))
+    assert property_mask(g, RootDegree(3))[0]
 
 
 def test_evaluate_requires_enough_depth():
@@ -166,7 +172,58 @@ def test_evaluate_requires_enough_depth():
         evaluate_property(shallow, ComponentSizeExactly(4))
     # A whole-graph census substitutes for depth on component-size kinds.
     cen = components(g)
-    assert evaluate_property(shallow, ComponentSizeExactly(4), census_hint=cen)
+    assert property_mask(g, ComponentSizeExactly(4), cen)[0]
+
+
+def _properties(draw_int):
+    """One property of every kind, plus a conjunction, from small parameters."""
+    kinds = [
+        RootDegree(draw_int(0, 4)),
+        ComponentSizeExactly(draw_int(1, 5)),
+        ComponentSizeAtLeast(draw_int(1, 5)),
+        MaxDegreeBall(draw_int(0, 4), draw_int(0, 2)),
+    ]
+    return kinds + [Conjunction((kinds[0], kinds[3])), Conjunction((kinds[1], kinds[2]))]
+
+
+def _assert_mask_matches_oracle(graph, props, vertices):
+    for prop in props:
+        mask = property_mask(graph, prop)
+        for v in vertices:
+            ball = neighborhood(graph, v, prop.radius)
+            assert bool(mask[v]) == evaluate_property(ball, prop), (prop, v, graph.edges.tolist())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 12), st.integers(0, 16))
+def test_property_mask_matches_ball_oracle_on_multigraphs(data, n, m):
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=m, max_size=m))
+    graph = MultiGraph(n, edges)
+    props = _properties(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    _assert_mask_matches_oracle(graph, props, range(n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.data(),
+    st.dictionaries(st.integers(0, 4), st.floats(0.05, 1.0), min_size=1, max_size=3),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_property_mask_matches_ball_oracle_on_forest_roots(data, atoms, trees, seed):
+    total = sum(atoms.values())
+    law = Distribution([(v, w / total) for v, w in atoms.items()])
+    props = _properties(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    deep = sample_tree_forest(law, trees, np.random.default_rng(seed), 2 + max(p.radius for p in props))
+    assert components(deep).sizes.size == trees  # one tree per root
+    _assert_mask_matches_oracle(deep, props, range(trees))
+    # Levels are drawn in order, so a shallower cut from the same seed is a
+    # prefix of the deep forest: the property's radius must already decide it.
+    for prop in props:
+        cut = sample_tree_forest(law, trees, np.random.default_rng(seed), prop.radius)
+        np.testing.assert_array_equal(
+            property_mask(cut, prop)[:trees], property_mask(deep, prop)[:trees]
+        )
 
 
 def test_property_radii():

@@ -292,3 +292,14 @@ def test_json_rejects_malformed_docs():
         from_json_doc({"masses": [[1]]})
     with pytest.raises(SpecParseError):
         from_json_doc({"masses": [[1, 0.5]]})  # bad total
+
+
+def test_json_rejects_inexact_support_values():
+    # 1.5 must not truncate to degree 1, and JSON true is not the integer 1.
+    with pytest.raises(SpecParseError):
+        from_json_doc({"masses": [[1.5, 1.0]]})
+    with pytest.raises(SpecParseError):
+        from_json_doc({"masses": [[True, 1.0]]})
+    with pytest.raises(SpecParseError):
+        from_json_doc({"masses": [[1, True]]})
+    assert from_json_doc({"masses": [[3, 1]]}).masses == [(3, 1.0)]

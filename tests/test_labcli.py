@@ -257,6 +257,34 @@ def test_exit_code_on_bad_spec(tmp_path):
     assert labcli.main(["analyze", "--dist", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["giant", "--n", "0"],
+        ["local-census", "--property", "root_degree:3", "--samples", "0"],
+        ["local-census", "--property", "root_degree:3", "--samples", "-5"],
+        ["giant", "--trials", "-1"],
+        ["giant", "--kmax", "0"],
+        ["analyze", "--kmax", "-3"],
+        ["giant", "--seed", "-1"],
+        ["sweep", "--p", "0.5", "--seed", "-1"],
+        ["giant", "--simple", "--max-attempts", "0"],
+    ],
+)
+def test_exit_code_on_out_of_range_flags(mixture_spec, capsys, argv):
+    assert labcli.main(argv + ["--dist", mixture_spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("masses", [[[1.5, 1.0]], [[True, 1.0]], [[1, True]], [[1, "1.0"]]])
+def test_exit_code_on_inexact_spec_numbers(tmp_path, capsys, masses):
+    spec = write_spec(tmp_path, "inexact.json", masses)
+    assert labcli.main(["analyze", "--dist", spec]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exit_code_on_unbounded_property(mixture_spec):
     code = labcli.main(
         [
