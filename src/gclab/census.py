@@ -5,8 +5,8 @@ ball of some finite radius around the root; the built-in kinds below cover
 component-size predicates, the root-degree predicate, and the bounded-degree
 ball predicate used by the concentration machinery. ``property_mask``
 decides a property at every vertex in one vectorized pass (census or
-frontier expansion), never one BFS per vertex; it is the one evaluator,
-for sampled graphs and for forests of limit trees alike.
+boolean sparse matrix-vector products), never one BFS per vertex; it is
+the one evaluator, for sampled graphs and for forests of limit trees alike.
 """
 
 from __future__ import annotations
@@ -185,24 +185,16 @@ def count_property_in_giant(graph: MultiGraph, prop: LocalProperty) -> int:
 
 
 def _within_distance(graph: MultiGraph, sources: np.ndarray, t: int) -> np.ndarray:
-    """Vertices within graph distance <= t of any source (multi-source BFS)."""
-    visited = sources.copy()
-    frontier = np.flatnonzero(sources)
-    indptr, nbrs = graph.adjacency_csr()
+    """Vertices within graph distance <= t of any source (multi-source BFS).
+
+    Each step is one product with the boolean adjacency matrix, in which
+    products are ANDs and sums ORs; a step that reaches nothing new ends it.
+    """
+    adj = graph.adjacency_csr()
+    reached = sources.copy()
     for _ in range(t):
-        if frontier.size == 0:
+        grown = reached | (adj @ reached)
+        if np.array_equal(grown, reached):
             break
-        starts = indptr[frontier]
-        lens = indptr[frontier + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            break
-        take = np.repeat(starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-        flat = np.arange(total) + take
-        neigh = nbrs[flat]
-        fresh = neigh[~visited[neigh]]
-        if fresh.size == 0:
-            break
-        frontier = np.unique(fresh)
-        visited[frontier] = True
-    return visited
+        reached = grown
+    return reached

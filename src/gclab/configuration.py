@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .distributions import Distribution, sample
-from .errors import Exhausted, SamePair
+from .errors import Exhausted, SamePair, SpecParseError
 
 
 class DegreeSequence:
@@ -84,6 +85,11 @@ class Pairing:
         return f"Pairing(2m={self.stub_count}, n={self.n_vertices})"
 
 
+def _csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> csr_matrix:
+    """Boolean CSR matrix with True at each (rows[i], cols[i]); repeats merge."""
+    return csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=shape)
+
+
 class MultiGraph:
     """Multigraph as a vertex count plus an edge multiset.
 
@@ -119,27 +125,20 @@ class MultiGraph:
         return DegreeSequence(self.degrees())
 
     def adjacency_csr(self):
-        """(indptr, neighbors) over non-loop edges; loops are invisible to distance."""
+        """Boolean n x n CSR matrix: row v's ``indices`` are v's distinct
+        neighbours (parallel edges merge; loops are invisible to distance)."""
         if self._adj is None:
             e = self.edges[self.edges[:, 0] != self.edges[:, 1]]
-            src = np.concatenate([e[:, 0], e[:, 1]])
-            dst = np.concatenate([e[:, 1], e[:, 0]])
-            order = np.argsort(src, kind="stable")
-            counts = np.bincount(src, minlength=self.n)
-            indptr = np.concatenate([[0], np.cumsum(counts)])
-            self._adj = (indptr.astype(np.int64), dst[order])
+            rows = np.concatenate([e[:, 0], e[:, 1]])
+            cols = np.concatenate([e[:, 1], e[:, 0]])
+            self._adj = _csr(rows, cols, (self.n, self.n))
         return self._adj
 
     def incidence_csr(self):
-        """(indptr, edge ids) per vertex; a loop's id appears twice in its row."""
+        """Boolean n x m CSR matrix: row v's ``indices`` are v's edge ids, a loop's once."""
         if self._inc is None:
             m = self.num_edges
-            src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-            eid = np.concatenate([np.arange(m), np.arange(m)])
-            order = np.argsort(src, kind="stable")
-            counts = np.bincount(src, minlength=self.n)
-            indptr = np.concatenate([[0], np.cumsum(counts)])
-            self._inc = (indptr.astype(np.int64), eid[order])
+            self._inc = _csr(self.edges.ravel(), np.repeat(np.arange(m), 2), (self.n, m))
         return self._inc
 
     def __repr__(self):
@@ -230,9 +229,10 @@ def is_simple(graph: MultiGraph) -> bool:
         return True
     if (e[:, 0] == e[:, 1]).any():
         return False
-    view = e[np.lexsort((e[:, 1], e[:, 0]))]
-    dup = np.all(view[1:] == view[:-1], axis=1)
-    return not bool(dup.any())
+    # Rows are (min, max), so equal keys are exactly repeated vertex pairs.
+    keys = e[:, 0] * graph.n + e[:, 1]
+    keys.sort()
+    return not bool((keys[1:] == keys[:-1]).any())
 
 
 def sample_simple(ds: DegreeSequence, rng: np.random.Generator, max_attempts: int) -> MultiGraph:
@@ -253,13 +253,24 @@ def sample_simple(ds: DegreeSequence, rng: np.random.Generator, max_attempts: in
 
 
 def load_degree_sequence(path) -> DegreeSequence:
-    """Read a degree sequence: JSON array, or one integer per line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        return DegreeSequence(json.loads(stripped))
-    return DegreeSequence([int(line) for line in text.split()])
+    """Read a degree sequence: JSON array, or one integer per line.
+
+    An unreadable file, invalid JSON, an entry that is not an integer and an
+    invalid sequence (negative entry, odd sum) raise SpecParseError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if text.lstrip().startswith("["):
+            values = json.loads(text)
+            # JSON true and 1.5 must not load as degrees 1.
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+                raise SpecParseError(f"{path}: degrees must be integers")
+        else:
+            values = [int(line) for line in text.split()]
+        return DegreeSequence(values)
+    except (OSError, ValueError) as exc:
+        raise SpecParseError(f"cannot read a degree sequence from {path}: {exc}") from exc
 
 
 def save_degree_sequence(ds: DegreeSequence, path, fmt: str = "text") -> None:

@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,6 @@ from .census import (
 )
 from .distributions import Distribution
 from .errors import (
-    BadProbability,
     DegenerateDistribution,
     Exhausted,
     GCLabError,
@@ -60,15 +58,12 @@ class ExperimentRecord:
     params: dict
     observed: dict
     predicted: dict = field(default_factory=dict)
-    runtime_ms: int = 0
 
     def __post_init__(self):
         for key in self.observed:
             self.predicted.setdefault(key, None)
 
     def to_json_dict(self) -> dict:
-        # runtime_ms intentionally omitted: serialized output must be
-        # byte-identical across runs of the same invocation.
         return {
             "experiment": self.experiment,
             "params": self.params,
@@ -199,7 +194,6 @@ def cmd_giant(
     records = []
     for trial in range(trials):
         rng = trial_rng(seed, trial)
-        start = time.perf_counter()
         ds = configuration.sample_degree_sequence(dist, n, rng)
         if simple:
             graph = configuration.sample_simple(ds, rng, max_attempts)
@@ -214,14 +208,12 @@ def cmd_giant(
         for k in range(1, k_small + 1):
             observed[f"N{k}_over_n"] = cen.vertices_in_components_of_size(k) / n
             predicted[f"N{k}_over_n"] = predicted_rho_k[k - 1]
-        elapsed_ms = int(1000 * (time.perf_counter() - start))
         records.append(
             ExperimentRecord(
                 experiment="giant",
                 params={"n": n, "trial": trial, "seed": seed, "simple": simple},
                 observed=observed,
                 predicted=predicted,
-                runtime_ms=elapsed_ms,
             )
         )
     return records
@@ -262,12 +254,10 @@ def cmd_percolation_sweep(
         graph = configuration.to_multigraph(configuration.sample_pairing(ds, rng_graph))
         for index, p in enumerate(p_grid):
             rng_color = trial_rng(seed, trial, 1 + index)
-            start = time.perf_counter()
             colored = percolation.color_edges(graph, p, rng_color)
             red_graph, _, red_degrees, _ = percolation.split(colored)
             cen = census.components(red_graph)
             distance = percolation.thinned_sequence_distance(red_degrees, dist, p)
-            elapsed_ms = int(1000 * (time.perf_counter() - start))
             records.append(
                 ExperimentRecord(
                     experiment="sweep",
@@ -282,7 +272,6 @@ def cmd_percolation_sweep(
                         "L2_over_n": 0.0,
                         "conf_distance_red": None,
                     },
-                    runtime_ms=elapsed_ms,
                 )
             )
     return records
@@ -302,7 +291,6 @@ def cmd_local_census(
     """Count a local property over one sampled graph and in its giant only."""
     prop = parse_property_spec(property_spec)
     rng_graph = trial_rng(seed, 0)
-    start = time.perf_counter()
     ds = configuration.sample_degree_sequence(dist, n, rng_graph)
     graph = configuration.to_multigraph(configuration.sample_pairing(ds, rng_graph))
     cen = census.components(graph)
@@ -319,7 +307,6 @@ def cmd_local_census(
             predicted_giant_closed = branching.giant_degree_fraction(dist, prop.d)
         except (DegenerateDistribution, ZeroMean):
             predicted_giant_closed = None
-    elapsed_ms = int(1000 * (time.perf_counter() - start))
     return ExperimentRecord(
         experiment="local-census",
         params={
@@ -338,7 +325,6 @@ def cmd_local_census(
             "giant_fraction": predicted_giant_closed,
             "whole_fraction_closed": predicted_whole_closed,
         },
-        runtime_ms=elapsed_ms,
     )
 
 
@@ -513,9 +499,6 @@ def main(argv=None) -> int:
     except Exhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SpecParseError, UnboundedRadius, BadProbability) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GCLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -170,7 +170,8 @@ def neighborhood(graph: MultiGraph, root: int, t: int) -> RootedNeighborhood:
         raise ValueError("root outside vertex range")
     if t < 0:
         raise ValueError("radius must be >= 0")
-    indptr, nbrs = graph.adjacency_csr()
+    adj = graph.adjacency_csr()
+    indptr, nbrs = adj.indptr, adj.indices
     dist = {int(root): 0}
     order = [int(root)]
     frontier = [int(root)]
@@ -186,7 +187,8 @@ def neighborhood(graph: MultiGraph, root: int, t: int) -> RootedNeighborhood:
         if not nxt:
             break
         frontier = nxt
-    inc_ptr, inc_eid = graph.incidence_csr()
+    inc = graph.incidence_csr()
+    inc_ptr, inc_eid = inc.indptr, inc.indices
     eids = set()
     for u in order:
         for eid in inc_eid[inc_ptr[u] : inc_ptr[u + 1]]:

@@ -21,7 +21,7 @@ from gclab.configuration import (
 )
 from gclab.census import MaxDegreeBall, RootDegree, Conjunction, components, count_property
 from gclab.distributions import Distribution
-from gclab.errors import Exhausted, SamePair
+from gclab.errors import Exhausted, SamePair, SpecParseError
 
 from helpers import all_matchings, matching_key, random_distribution
 
@@ -296,6 +296,26 @@ def test_degree_sequence_file_round_trip(tmp_path):
     save_degree_sequence(ds, json_path, fmt="json")
     assert json_path.read_text() == "[3, 1, 0, 2]"
     assert load_degree_sequence(json_path) == ds
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        pytest.param("missing.txt", None, id="unreadable"),
+        pytest.param("bad.json", "[3, 1,", id="invalid-json"),
+        pytest.param("frac.json", "[3, 1.5]", id="json-float"),
+        pytest.param("bool.json", "[1, true]", id="json-bool"),
+        pytest.param("words.txt", "3\nthree\n", id="text-non-integer"),
+        pytest.param("odd.txt", "3\n1\n1\n", id="odd-sum"),
+        pytest.param("neg.json", "[2, -2]", id="negative"),
+    ],
+)
+def test_load_degree_sequence_refuses_cleanly(tmp_path, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SpecParseError):
+        load_degree_sequence(path)
 
 
 def test_edge_list_export_with_loop(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gclab.distributions import (
+    MAX_SUPPORT,
     Distribution,
     from_json_doc,
     joint_thinning_matrix,
@@ -292,6 +293,12 @@ def test_json_rejects_malformed_docs():
         from_json_doc({"masses": [[1]]})
     with pytest.raises(SpecParseError):
         from_json_doc({"masses": [[1, 0.5]]})  # bad total
+
+
+def test_json_caps_support_value():
+    assert from_json_doc({"masses": [[MAX_SUPPORT, 1.0]]}).max_support == MAX_SUPPORT
+    with pytest.raises(SpecParseError):
+        from_json_doc({"masses": [[1, 0.5], [MAX_SUPPORT + 1, 0.5]]})
 
 
 def test_json_rejects_inexact_support_values():

@@ -278,7 +278,9 @@ def test_exit_code_on_out_of_range_flags(mixture_spec, capsys, argv):
     assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("masses", [[[1.5, 1.0]], [[True, 1.0]], [[1, True]], [[1, "1.0"]]])
+@pytest.mark.parametrize(
+    "masses", [[[1.5, 1.0]], [[True, 1.0]], [[1, True]], [[1, "1.0"]], [[1000000000, 1.0]]]
+)
 def test_exit_code_on_inexact_spec_numbers(tmp_path, capsys, masses):
     spec = write_spec(tmp_path, "inexact.json", masses)
     assert labcli.main(["analyze", "--dist", spec]) == 2
