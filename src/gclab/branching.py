@@ -4,7 +4,7 @@ The two-stage tree has root offspring drawn from the degree law D and every
 later offspring count drawn from the size-biased-minus-one law Z. Its
 survival probability is the limiting giant-component fraction; its finite
 size probabilities are the limiting small-component fractions. Everything
-here is either an exact finite computation (fixed point, convolution table,
+here is either an exact finite computation (fixed point, power series,
 closed forms) or a seeded Monte Carlo sampler of the tree itself.
 """
 
@@ -20,7 +20,6 @@ from .configuration import MultiGraph
 from .distributions import Distribution, mean, offspring, sample
 from .errors import DegenerateDistribution, NoThreshold, ZeroMean
 
-DEFAULT_TOL = 1e-12
 DEFAULT_CAP = 10**4
 
 # Newton on the concave survival function k (see solve_x_plus) rises
@@ -29,6 +28,8 @@ DEFAULT_CAP = 10**4
 # up to 40, at most 13 on {1: 1-q, N: q} with N up to 10^5. A solve still
 # running after 64 steps is moving in float noise.
 _NEWTON_STEP_BOUND = 64
+# A Newton step shorter than this ends the solve.
+_STEP_TOL = 1e-12
 
 # Keeps the scratch arrays of the batched tree samplers bounded: draws per
 # round in sample_tree_sizes, expected vertices per forest in
@@ -78,7 +79,7 @@ def _prob_at_least(dist: Distribution, cutoff: int) -> float:
     return float(dist.probs[dist.support >= cutoff].sum())
 
 
-def solve_x_plus(dist: Distribution, tol: float = DEFAULT_TOL) -> SurvivalSolution:
+def solve_x_plus(dist: Distribution) -> SurvivalSolution:
     """Largest root in [0, 1] of the one-stage survival equation.
 
     In the survival coordinate x = 1 - y the extinction equation
@@ -92,7 +93,7 @@ def solve_x_plus(dist: Distribution, tol: float = DEFAULT_TOL) -> SurvivalSoluti
     and x_plus = rho = 0 exactly. Otherwise x_plus is the one root of k in
     (0, 1], a simple root even at the edge of criticality, where h has a
     nearly double one. Newton on k starts at x = 1 and stops when a step
-    falls below ``tol``; after its first step the iterates rise
+    falls below 1e-12; after its first step the iterates rise
     monotonically to the root. With 1 - (1-x)^j taken as -expm1(j log1p(-x)),
     x_plus and rho keep their relative accuracy near criticality, limited
     by the rounding of the law's probabilities rather than by the solver.
@@ -120,7 +121,7 @@ def solve_x_plus(dist: Distribution, tol: float = DEFAULT_TOL) -> SurvivalSoluti
         step = gap / slope
         x = min(max(x - step, 0.0), 1.0)
         iterations += 1
-        converged = abs(step) < tol
+        converged = abs(step) < _STEP_TOL
     # 1 - (1-x)^i summed as -expm1: rho >= 0, exactly 0 at x = 0, and
     # accurate when x is tiny.
     atoms = dist.support > 0
@@ -158,41 +159,37 @@ def _survival_gap(z: Distribution, excess: float, x: float) -> tuple[float, floa
     return gap, float(np.dot(z.probs, v[z.support]))
 
 
-def rho(dist: Distribution, tol: float = DEFAULT_TOL) -> float:
+def rho(dist: Distribution) -> float:
     """Two-stage survival probability: 1 - sum_i r_i (1 - x_plus)^i."""
-    return solve_x_plus(dist, tol).rho
+    return solve_x_plus(dist).rho
 
 
 def rho_k_table(dist: Distribution, k_max: int) -> ProgenyTable:
-    """Exact small-tree probabilities by truncated convolution.
+    """Exact small-tree probabilities by the hitting-time theorem.
 
-    Let f[s] be the probability a one-stage tree has exactly s vertices and
-    w[j][s] the probability that j independent one-stage trees have s
-    vertices in total. Both fill in increasing s (a forest of total size s
-    only involves trees of size < s once j >= 1 vertices are set aside), and
-    the two-stage answer conditions on the root's offspring count:
-    rho_k = sum_j r_j * w[j][k-1]. Cost O(k_max^2 * max_degree).
+    With j root children (probability r_j), the j one-stage trees below
+    have k - 1 vertices in total with probability
+    (j/(k-1)) [t^(k-1-j)] G_Z(t)^(k-1) (Dwass 1969), G_Z the generating
+    function of the offspring law. So rho_1 = r_0 and, for k >= 2,
+
+        rho_k = (1/(k-1)) sum_{j=1}^{k-1} j r_j [t^(k-1-j)] G_Z(t)^(k-1).
+
+    No coefficient at or past t^(k_max) is read, so the powers of G_Z are
+    kept to k_max terms, one convolution per k.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if mean(dist) <= 0.0:
         raise ZeroMean("offspring law needs E(D) > 0")
-    z = offspring(dist)
-    d_max = dist.max_support
-    zdense = z.dense(d_max)  # Pr(Z = i), i = 0..d_max-1
-    f = np.zeros(k_max + 1)
-    w = np.zeros((d_max + 1, k_max + 1))
-    w[0, 0] = 1.0
-    for s in range(1, k_max + 1):
-        f[s] = float(np.dot(zdense, w[: len(zdense), s - 1]))
-        w[1, s] = f[s]
-        for j in range(2, d_max + 1):
-            top = s - j + 1
-            if top < 1:
-                continue
-            w[j, s] = float(np.dot(f[1 : top + 1], w[j - 1, s - 1 : j - 2 : -1]))
-    rdense = dist.dense(d_max + 1)
-    rho_k = rdense @ w[:, 0:k_max]
+    series = offspring(dist).dense()[:k_max]
+    weighted = np.arange(k_max) * dist.dense(k_max)  # j r_j, j = 0..k_max-1
+    power = np.zeros(k_max)
+    power[0] = 1.0
+    rho_k = np.empty(k_max)
+    rho_k[0] = dist.pmf(0)
+    for k in range(2, k_max + 1):
+        power = np.convolve(power, series)[:k_max]  # G_Z^(k-1), truncated
+        rho_k[k - 1] = float(np.dot(weighted[1:k], power[k - 2 :: -1])) / (k - 1)
     tail = 1.0 - float(rho_k.sum())
     return ProgenyTable(k_max, rho_k, tail)
 
@@ -327,12 +324,15 @@ def tree_property_probability(
     return estimate, half_width
 
 
-def giant_degree_fraction(dist: Distribution, d: int, tol: float = DEFAULT_TOL) -> float:
+def giant_degree_fraction(dist: Distribution, d: int) -> float:
     """Limiting fraction of vertices that have degree d and sit in the giant.
 
-    Closed form r_d * (1 - (1 - x_plus)^d): the root has degree d and at
-    least one of its d branches survives.
+    r_d (1 - (1 - x_plus)^d), taken as -r_d expm1(d log(1 - x_plus)): the
+    very term that solve_x_plus sums over the support into rho. Exactly 0.0
+    for d = 0 and for d outside the support.
     """
-    solution = solve_x_plus(dist, tol)
+    x = solve_x_plus(dist).x_plus
     r_d = dist.pmf(d)
-    return r_d * (1.0 - (1.0 - solution.x_plus) ** d)
+    if d == 0 or r_d == 0.0:
+        return 0.0
+    return 0.0 - r_d * float(np.expm1(d * _log1m(x)))

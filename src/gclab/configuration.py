@@ -17,13 +17,21 @@ from .distributions import Distribution, sample
 from .errors import Exhausted, SamePair, SpecParseError
 
 
+def _int64_array(values, what: str) -> np.ndarray:
+    """``values`` as int64; refuses float or bool input, which would truncate."""
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return np.asarray(arr, dtype=np.int64)
+
+
 class DegreeSequence:
     """Finite list of vertex degrees with even sum."""
 
     __slots__ = ("degrees",)
 
     def __init__(self, degrees):
-        arr = np.asarray(degrees, dtype=np.int64)
+        arr = _int64_array(degrees, "degrees")
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("degree sequence must be a non-empty 1-d sequence")
         if (arr < 0).any():
@@ -102,7 +110,7 @@ class MultiGraph:
 
     def __init__(self, n: int, edges):
         self.n = int(n)
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        arr = _int64_array(edges, "edge endpoints").reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= self.n):
             raise ValueError("edge endpoint outside vertex range")
         arr = np.sort(arr, axis=1)

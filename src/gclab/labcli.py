@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,11 +57,7 @@ class ExperimentRecord:
     experiment: str
     params: dict
     observed: dict
-    predicted: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key in self.observed:
-            self.predicted.setdefault(key, None)
+    predicted: dict
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,20 +119,15 @@ def cmd_analyze(dist: Distribution, k_max: int = 20) -> dict:
         "supercriticality": distributions.supercriticality(dist),
         "truncated_mass": dist.truncated_mass,
         "caveat": None,
+        "mean_offspring": None,
+        "x_plus": None,
+        "rho": None,
+        "rho_k": None,
+        "p_c": None,
+        "giant_degree_fractions": None,
     }
-    mu = distributions.mean(dist)
-    if mu <= 0.0:
-        report.update(
-            {
-                "mean_offspring": None,
-                "x_plus": None,
-                "rho": None,
-                "rho_k": None,
-                "p_c": None,
-                "giant_degree_fractions": None,
-                "caveat": "E(D) = 0: nothing to analyze beyond moments",
-            }
-        )
+    if report["mean_degree"] <= 0.0:
+        report["caveat"] = "E(D) = 0: nothing to analyze beyond moments"
         return report
     report["mean_offspring"] = distributions.mean(distributions.offspring(dist))
     table = branching.rho_k_table(dist, k_max)
@@ -145,18 +136,11 @@ def cmd_analyze(dist: Distribution, k_max: int = 20) -> dict:
     try:
         report["p_c"] = branching.critical_percolation(dist)
     except NoThreshold:
-        report["p_c"] = None
+        pass
     try:
         solution = branching.solve_x_plus(dist)
     except DegenerateDistribution:
-        report.update(
-            {
-                "x_plus": None,
-                "rho": None,
-                "giant_degree_fractions": None,
-                "caveat": DEGENERATE_CAVEAT,
-            }
-        )
+        report["caveat"] = DEGENERATE_CAVEAT
         return report
     report["x_plus"] = solution.x_plus
     report["rho"] = solution.rho
@@ -172,6 +156,21 @@ def cmd_analyze(dist: Distribution, k_max: int = 20) -> dict:
 # giant
 
 
+def _predicted_rho(law: Distribution) -> float | None:
+    """Limit of L1/n for degree law ``law``, or None where there is none.
+
+    A zero-mean law has no edges: 0.0. On {0, 1, 2} with r_1 > 0 the law is
+    strictly subcritical (E D(D-2) = -r_1 < 0): 0.0. On {0, 2} the largest
+    cycle holds a random, non-vanishing share of the vertices: None.
+    """
+    try:
+        return branching.rho(law)
+    except ZeroMean:
+        return 0.0
+    except DegenerateDistribution:
+        return 0.0 if law.pmf(1) > 0.0 else None
+
+
 def cmd_giant(
     dist: Distribution,
     n: int,
@@ -182,10 +181,7 @@ def cmd_giant(
     k_small: int = 10,
 ) -> list[ExperimentRecord]:
     """Sample graphs, take the component census, and pair it with the limits."""
-    try:
-        predicted_rho = branching.rho(dist)
-    except (DegenerateDistribution, ZeroMean):
-        predicted_rho = None
+    predicted_rho = _predicted_rho(dist)
     try:
         table = branching.rho_k_table(dist, k_small)
         predicted_rho_k = [float(x) for x in table.rho_k]
@@ -223,14 +219,6 @@ def cmd_giant(
 # percolation sweep
 
 
-def _predicted_rho_thinned(dist: Distribution, p: float) -> float:
-    thinned = distributions.thin(dist, p)
-    try:
-        return branching.rho(thinned)
-    except (DegenerateDistribution, ZeroMean):
-        return 0.0
-
-
 def cmd_percolation_sweep(
     dist: Distribution,
     n: int,
@@ -246,7 +234,7 @@ def cmd_percolation_sweep(
     """
     for p in p_grid:
         distributions.check_probability(p)
-    predictions = {p: _predicted_rho_thinned(dist, p) for p in p_grid}
+    predictions = {p: _predicted_rho(distributions.thin(dist, p)) for p in p_grid}
     records = []
     for trial in range(trials):
         rng_graph = trial_rng(seed, trial)
@@ -353,7 +341,7 @@ def records_to_csv(records: list[ExperimentRecord]) -> str:
     if not records:
         return "# gclab v1 empty\n"
     kind = records[0].experiment
-    param_cols = _CSV_COLUMNS.get(kind, sorted(records[0].params))
+    param_cols = _CSV_COLUMNS[kind]
     obs_cols = list(records[0].observed)
     pred_cols = [f"pred_{c}" for c in records[0].predicted]
     columns = param_cols + obs_cols + pred_cols

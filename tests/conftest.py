@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gclab.distributions import Distribution
+
+# One example budget for every property test: modest, so the suite stays
+# quick, and derandomized, so a run is reproducible.
+settings.register_profile("gclab", max_examples=40, deadline=None, derandomize=True)
+settings.load_profile("gclab")
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
 """Independent oracles and corpus generators shared by the test modules.
 
 The oracles here deliberately avoid the production code paths: tree-size
-probabilities come from explicit enumeration of preorder offspring sequences,
-survival probabilities from polynomial root finding, matching laws from
-recursive enumeration of perfect matchings, and local properties from one
-BFS ball per vertex decided by looking at the ball alone.
+probabilities come from explicit enumeration of preorder offspring sequences
+and from a forest convolution recursion, survival probabilities from
+polynomial root finding, matching laws from recursive enumeration of perfect
+matchings, and local properties from one BFS ball per vertex decided by
+looking at the ball alone.
 """
 
 from __future__ import annotations
@@ -122,6 +123,33 @@ def survival_oracle_exact(dist: Distribution) -> tuple[float, float]:
     s = 1 - Fraction(hi)
     rho = sum(p * (1 - s**i) for i, p in r) / sum(p for _, p in r)
     return hi, float(rho)
+
+
+def rho_k_recursion_oracle(dist: Distribution, k_max: int) -> np.ndarray:
+    """rho_1..rho_k_max by the forest convolution recursion.
+
+    f[s] is the probability that a one-stage tree has exactly s vertices
+    and w[j][s] that j independent one-stage trees have s vertices in
+    total. Both fill in increasing s (a forest of total size s only
+    involves trees of size < s once j >= 1 vertices are set aside), and the
+    two-stage answer conditions on the root's offspring count:
+    rho_k = sum_j r_j * w[j][k-1].
+    """
+    z = offspring(dist)
+    d_max = dist.max_support
+    zdense = z.dense(d_max)  # Pr(Z = i), i = 0..d_max-1
+    f = np.zeros(k_max + 1)
+    w = np.zeros((d_max + 1, k_max + 1))
+    w[0, 0] = 1.0
+    for s in range(1, k_max + 1):
+        f[s] = float(np.dot(zdense, w[: len(zdense), s - 1]))
+        w[1, s] = f[s]
+        for j in range(2, d_max + 1):
+            top = s - j + 1
+            if top < 1:
+                continue
+            w[j, s] = float(np.dot(f[1 : top + 1], w[j - 1, s - 1 : j - 2 : -1]))
+    return dist.dense(d_max + 1) @ w[:, 0:k_max]
 
 
 def joint_thinning_oracle(dist: Distribution, p: float) -> np.ndarray:

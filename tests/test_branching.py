@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gclab import branching
@@ -22,6 +22,7 @@ from helpers import (
     enumerate_tree_size_probs,
     neighborhood,
     random_distribution,
+    rho_k_recursion_oracle,
     survival_oracle,
     survival_oracle_exact,
 )
@@ -167,7 +168,6 @@ def test_subcritical_thinned_laws_give_exactly_zero(mixture, regular3, rng):
     assert subcritical >= 20
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.dictionaries(
         st.integers(0, 8), st.floats(0.01, 1.0), min_size=2, max_size=5
@@ -209,8 +209,13 @@ def test_rho_k_mixture_hand_values(mixture):
 
 
 def test_rho_k_matches_enumeration_oracle(rng):
-    for _ in range(10):
-        d = random_distribution(rng, max_value=5, max_atoms=4)
+    # The last two laws have support beyond k_max, so their offspring
+    # series is cut short.
+    dists = [random_distribution(rng, max_value=5, max_atoms=4) for _ in range(10)] + [
+        Distribution([(1, 0.5), (10**4, 0.5)]),
+        Distribution([(0, 0.2), (1, 0.3), (8, 0.5)]),
+    ]
+    for d in dists:
         want = enumerate_tree_size_probs(d, 6)
         got = rho_k_table(d, 6).rho_k
         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -220,6 +225,7 @@ def test_rho_k_invariants(rng, mixture):
     dists = [mixture] + [random_distribution(rng) for _ in range(10)]
     for d in dists:
         table = rho_k_table(d, 50)
+        np.testing.assert_allclose(table.rho_k, rho_k_recursion_oracle(d, 50), rtol=1e-13, atol=0.0)
         assert ((0.0 <= table.rho_k) & (table.rho_k <= 1.0)).all()
         assert table.rho_k.sum() <= 1.0 + 1e-9
         assert table.rho_k.sum() + table.tail == pytest.approx(1.0, abs=1e-9)
@@ -434,6 +440,22 @@ def test_giant_degree_fractions_sum_to_rho(mixture, rng):
     for d in dists:
         total = sum(giant_degree_fraction(d, int(v)) for v in d.support)
         assert total == pytest.approx(rho(d), abs=1e-12)
+
+
+def test_giant_degree_fractions_sum_to_rho_near_criticality(regular3):
+    # The shares are the very terms the solver sums into rho, so they add up
+    # to rho to rounding even where rho itself is tiny.
+    for k in range(6, 13):
+        d = thin(regular3, 0.5 + 10.0**-k)
+        total = sum(giant_degree_fraction(d, int(v)) for v in d.support)
+        assert total == pytest.approx(rho(d), rel=1e-15, abs=0.0)
+
+
+def test_giant_degree_fraction_is_plus_zero_off_the_support(mixture, regular3):
+    # x_plus = 1 for reg3, where (1 - x_plus)^0 is 0^0.
+    for d, degree in [(regular3, 0), (regular3, 7), (regular3, -1), (mixture, 0), (mixture, 2)]:
+        got = giant_degree_fraction(d, degree)
+        assert got == 0.0 and np.copysign(1.0, got) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gclab.branching import sample_tree_forest, tree_property_probability
@@ -194,7 +194,6 @@ def _assert_mask_matches_oracle(graph, props, vertices):
             assert bool(mask[v]) == evaluate_property(ball, prop), (prop, v, graph.edges.tolist())
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.data(), st.integers(1, 12), st.integers(0, 16))
 def test_property_mask_matches_ball_oracle_on_multigraphs(data, n, m):
     edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=m, max_size=m))
@@ -203,7 +202,6 @@ def test_property_mask_matches_ball_oracle_on_multigraphs(data, n, m):
     _assert_mask_matches_oracle(graph, props, range(n))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.data(),
     st.dictionaries(st.integers(0, 4), st.floats(0.05, 1.0), min_size=1, max_size=3),

@@ -39,6 +39,28 @@ def test_degree_sequence_validation():
         DegreeSequence([-1, 1])
 
 
+@pytest.mark.parametrize(
+    "build, accepted",
+    [
+        (lambda: DegreeSequence([1.5, 2.5, 3.9]), False),
+        (lambda: MultiGraph(3, [[0.5, 1.7]]), False),
+        (lambda: DegreeSequence([True, True]), False),
+        (lambda: MultiGraph(3, []), True),
+        (lambda: DegreeSequence(np.array([1, 3, 2], dtype=np.uint8)), True),
+        (lambda: MultiGraph(3, np.array([[0, 2]], dtype=np.uint8)), True),
+    ],
+)
+def test_graph_input_must_be_integer(build, accepted):
+    # A float or bool array would be truncated (1.5 -> 1, True -> 1).
+    if accepted:
+        built = build()
+        values = built.degrees if isinstance(built, DegreeSequence) else built.edges
+        assert values.dtype == np.int64
+    else:
+        with pytest.raises(ValueError, match="integers"):
+            build()
+
+
 def test_degree_counts_cases():
     assert degree_counts(DegreeSequence([1, 1, 3, 3])) == {1: 2, 3: 2}
     assert degree_counts(DegreeSequence([3, 3, 3, 3])) == {3: 4}

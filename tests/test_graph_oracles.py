@@ -3,7 +3,7 @@ parallel edges; networkx shares no code with the numpy/scipy paths."""
 
 import networkx as nx
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gclab.census import MaxDegreeBall, components, property_mask
@@ -43,7 +43,6 @@ def test_adjacency_csr_merges_parallel_edges_and_drops_loops():
     ]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
 @given(multigraphs())
 def test_components_match_networkx(graph):
     cen = components(graph)
@@ -57,7 +56,6 @@ def test_components_match_networkx(graph):
     assert (cen.component_id[0] == 0) == (len(holds_zero) == cen.largest)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
 @given(multigraphs())
 def test_is_simple_matches_networkx(graph):
     # The loop-free copy reaches the repeated-pair test on every example.
@@ -68,7 +66,6 @@ def test_is_simple_matches_networkx(graph):
         assert is_simple(h) == expected, h.edges.tolist()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
 @given(multigraphs())
 def test_max_degree_ball_matches_networkx(graph):
     g = to_networkx(graph)  # nx counts a loop twice toward the degree

@@ -156,6 +156,21 @@ def test_sweep_zero_retention(mixture_spec, capsys):
     assert float(rows[0]["pred_L1_over_n"]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "masses, want",
+    [([[2, 1.0]], ""), ([[1, 0.5], [2, 0.5]], "0.0")],
+)
+def test_giant_and_sweep_agree_on_laws_inside_0_1_2(tmp_path, capsys, masses, want):
+    # On {2: 1} the largest cycle holds a random, non-vanishing share, so
+    # there is no limit to print; with mass on degree 1 the law is strictly
+    # subcritical and the limit is 0.
+    spec = write_spec(tmp_path, "law.json", masses)
+    for argv in (["giant"], ["sweep", "--p", "1.0"]):
+        assert labcli.main(argv + ["--dist", spec, "--n", "200", "--seed", "1"]) == 0
+        for row in read_csv(capsys.readouterr().out):
+            assert row["pred_L1_over_n"] == want
+
+
 def test_sweep_brackets_threshold(regular3_spec, capsys):
     labcli.main(
         [
