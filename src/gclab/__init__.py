@@ -3,7 +3,7 @@
 The package is organized around the pipeline used throughout:
 
 - ``distributions``: finite integer laws and their derived laws.
-- ``branching``: survival fixed point, small-tree table, tree samplers.
+- ``branching``: survival fixed point, small-tree table, limit-tree probabilities.
 - ``configuration``: degree sequences, uniform pairings, multigraphs.
 - ``census``: components, local properties and their vectorized counts.
 - ``percolation``: red/blue edge coloring and thinning.
@@ -14,13 +14,11 @@ from .branching import (
     ProgenyTable,
     SurvivalSolution,
     critical_percolation,
-    giant_degree_fraction,
+    giant_degree_fractions,
+    limit_probability,
     rho,
     rho_k_table,
-    sample_tree_forest,
-    sample_tree_sizes,
     solve_x_plus,
-    tree_property_probability,
 )
 from .census import (
     ComponentCensus,

@@ -6,7 +6,7 @@ component-size predicates, the root-degree predicate, and the bounded-degree
 ball predicate used by the concentration machinery. ``property_mask``
 decides a property at every vertex in one vectorized pass (census or
 boolean sparse matrix-vector products), never one BFS per vertex; it is
-the one evaluator, for sampled graphs and for forests of limit trees alike.
+the one evaluator of properties on graphs.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ def components(graph: MultiGraph) -> ComponentCensus:
     else:
         labels = np.arange(n)
     label_sizes = np.bincount(labels)
-    # First occurrence in vertex order = smallest vertex of each component.
-    _, first_vertex = np.unique(labels, return_index=True)
-    order = np.lexsort((first_vertex, -label_sizes))
+    # scipy numbers components in order of their smallest vertex, so a
+    # stable sort by size breaks ties by the smallest vertex.
+    order = np.argsort(-label_sizes, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return ComponentCensus(label_sizes[order], rank[labels])

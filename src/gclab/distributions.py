@@ -10,6 +10,7 @@ truncate first and let the constructor renormalize.
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 
@@ -30,8 +31,12 @@ class Distribution:
 
     ``support`` and ``probs`` are parallel arrays with support strictly
     increasing and all probabilities positive (zero atoms are dropped).
-    Construction renormalizes the masses to sum to 1 and records the mass
-    that was missing from the raw input in ``truncated_mass``.
+    Values must be integers and probabilities real numbers, bool neither;
+    nothing is rounded or parsed. Construction renormalizes the masses to
+    sum to 1, unless they do up to rounding (so a law rebuilt from its own
+    masses equals it), and records the mass missing from the raw input in
+    ``truncated_mass``. Only ``from_json_doc`` enforces ``MAX_SUPPORT``: the
+    solver tests build {1: 1/2, 10^5: 1/2} here.
 
     Instances are immutable after construction and safe to share across
     threads; random draws go through a caller-owned ``numpy`` generator.
@@ -40,6 +45,12 @@ class Distribution:
     __slots__ = ("support", "probs", "truncated_mass", "_cdf")
 
     def __init__(self, masses):
+        masses = list(masses)
+        for v, p in masses:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"support value {v!r} is not an integer")
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise ValueError(f"probability {p!r} is not a number")
         pairs = sorted((int(v), float(p)) for v, p in masses)
         values = [v for v, _ in pairs]
         if len(values) != len(set(values)):
@@ -55,7 +66,10 @@ class Distribution:
         if not kept:
             raise ValueError("distribution needs at least one positive atom")
         self.support = np.array([v for v, _ in kept], dtype=np.int64)
-        self.probs = np.array([p for _, p in kept], dtype=np.float64) / total
+        self.probs = np.array([p for _, p in kept], dtype=np.float64)
+        # The masses of a normalized law sum to 1 within a rounding per atom.
+        if abs(total - 1.0) > len(pairs) * np.finfo(np.float64).eps:
+            self.probs /= total
         self.truncated_mass = max(0.0, 1.0 - total)
         self._cdf = None
         self.support.setflags(write=False)
@@ -205,22 +219,16 @@ def from_json_doc(doc) -> Distribution:
     masses = doc["masses"]
     if not isinstance(masses, list) or not masses:
         raise SpecParseError('"masses" must be a non-empty list of [value, probability]')
-    pairs = []
     for entry in masses:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise SpecParseError(f"bad mass entry {entry!r}; want [value, probability]")
-        value, prob = entry
-        # JSON true/false load as bool, a subclass of int; 1.5 must not
-        # truncate to 1 and "0.5" must not parse as a number.
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SpecParseError(f"support value {value!r} is not an integer")
-        if value > MAX_SUPPORT:
+        value = entry[0]
+        # Distribution refuses non-integer values; a huge one must not reach
+        # its int64 arrays.
+        if isinstance(value, int) and value > MAX_SUPPORT:
             raise SpecParseError(f"support value {value} exceeds MAX_SUPPORT = {MAX_SUPPORT}")
-        if isinstance(prob, bool) or not isinstance(prob, (int, float)):
-            raise SpecParseError(f"probability {prob!r} is not a number")
-        pairs.append((value, prob))
     try:
-        return Distribution(pairs)
+        return Distribution(masses)
     except (ValueError, TypeError) as exc:
         raise SpecParseError(str(exc)) from exc
 

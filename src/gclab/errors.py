@@ -47,4 +47,4 @@ class InsufficientRadius(GCLabError):
 
 
 class SpecParseError(GCLabError):
-    """A distribution spec document could not be parsed."""
+    """A distribution or property spec could not be parsed or passes a cap."""

@@ -5,7 +5,7 @@ Subcommands
 analyze        closed-form report for a distribution spec (no simulation)
 giant          giant/small-component fractions vs. their predicted limits
 sweep          percolation curve over a retention-probability grid
-local-census   local property counts vs. the limit-tree probability
+local-census   local property counts vs. their exact limit-tree probability
 
 Every stochastic run records its seed; per-trial generators are spawned as
 ``SeedSequence(entropy=master_seed, spawn_key=(trial, ...))``, a keyed hash
@@ -146,9 +146,7 @@ def cmd_analyze(dist: Distribution, k_max: int = 20) -> dict:
     report["rho"] = solution.rho
     report["solver_iterations"] = solution.iterations
     report["solver_residual"] = solution.residual
-    report["giant_degree_fractions"] = {
-        str(d): branching.giant_degree_fraction(dist, d) for d in dist.support.tolist()
-    }
+    report["giant_degree_fractions"] = {str(d): share for d, share in solution.giant_shares.items()}
     return report
 
 
@@ -274,10 +272,22 @@ def cmd_local_census(
     n: int,
     property_spec: str,
     seed: int,
-    samples: int = 100_000,
+    samples=None,
 ) -> ExperimentRecord:
-    """Count a local property over one sampled graph and in its giant only."""
+    """Count a local property over one sampled graph and in its giant only.
+
+    The exact limit-tree prediction comes first, so a spec past its caps is
+    refused before any sampling. Nothing reads ``samples``; perfbench's
+    local-limit op still passes it positionally, and it goes with that call.
+    """
     prop = parse_property_spec(property_spec)
+    predicted_whole = branching.limit_probability(dist, prop)
+    predicted_giant = None
+    if isinstance(prop, RootDegree):
+        try:
+            predicted_giant = branching.giant_degree_fractions(dist).get(prop.d, 0.0)
+        except (DegenerateDistribution, ZeroMean):
+            pass
     rng_graph = trial_rng(seed, 0)
     ds = configuration.sample_degree_sequence(dist, n, rng_graph)
     graph = configuration.to_multigraph(configuration.sample_pairing(ds, rng_graph))
@@ -285,33 +295,16 @@ def cmd_local_census(
     mask = census.property_mask(graph, prop, cen)
     whole = int(mask.sum())
     giant = int((mask & cen.giant_mask()).sum())
-    rng_tree = trial_rng(seed, 1)
-    estimate, half_width = branching.tree_property_probability(dist, prop, samples, rng_tree)
-    predicted_whole_closed = None
-    predicted_giant_closed = None
-    if isinstance(prop, RootDegree):
-        predicted_whole_closed = dist.pmf(prop.d)
-        try:
-            predicted_giant_closed = branching.giant_degree_fraction(dist, prop.d)
-        except (DegenerateDistribution, ZeroMean):
-            predicted_giant_closed = None
     return ExperimentRecord(
         experiment="local-census",
-        params={
-            "n": n,
-            "seed": seed,
-            "property": property_spec,
-            "mc_samples": samples,
-            "mc_half_width": half_width,
-        },
+        params={"n": n, "seed": seed, "property": property_spec},
         observed={
             "whole_fraction": whole / n,
             "giant_fraction": giant / n,
         },
         predicted={
-            "whole_fraction": estimate,
-            "giant_fraction": predicted_giant_closed,
-            "whole_fraction_closed": predicted_whole_closed,
+            "whole_fraction": predicted_whole,
+            "giant_fraction": predicted_giant,
         },
     )
 
@@ -319,10 +312,11 @@ def cmd_local_census(
 # ---------------------------------------------------------------------------
 # serialization
 
-_CSV_COLUMNS = {
-    "giant": ["trial", "seed", "n", "simple"],
-    "sweep": ["p", "trial", "seed", "n"],
-    "local-census": ["n", "seed", "property", "mc_samples", "mc_half_width"],
+# Header version and params columns per kind; the version counts column changes.
+_CSV_LAYOUT = {
+    "giant": (1, ["trial", "seed", "n", "simple"]),
+    "sweep": (1, ["p", "trial", "seed", "n"]),
+    "local-census": (2, ["n", "seed", "property"]),
 }
 
 
@@ -341,12 +335,12 @@ def records_to_csv(records: list[ExperimentRecord]) -> str:
     if not records:
         return "# gclab v1 empty\n"
     kind = records[0].experiment
-    param_cols = _CSV_COLUMNS[kind]
+    version, param_cols = _CSV_LAYOUT[kind]
     obs_cols = list(records[0].observed)
     pred_cols = [f"pred_{c}" for c in records[0].predicted]
     columns = param_cols + obs_cols + pred_cols
     out = io.StringIO()
-    out.write(f"# gclab {kind} v1 columns: {','.join(columns)}\n")
+    out.write(f"# gclab {kind} v{version} columns: {','.join(columns)}\n")
     # Minimal quoting: only fields holding a comma or a quote, such as the
     # property spec max_degree_ball:3,2, are quoted.
     writer = csv.writer(out, lineterminator="\n")
@@ -382,10 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=1):
+    def common(p):
         p.add_argument("--dist", required=True, help="path to a JSON distribution spec")
         p.add_argument("--n", type=int, default=100_000, help="number of vertices")
-        p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -396,13 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out", default=None)
 
     p_giant = sub.add_parser("giant", help="giant/small component experiment")
-    common(p_giant, trials_default=5)
+    common(p_giant)
+    p_giant.add_argument("--trials", type=int, default=5)
     p_giant.add_argument("--simple", action="store_true", help="reject until simple")
     p_giant.add_argument("--max-attempts", type=int, default=200)
     p_giant.add_argument("--kmax", type=int, default=10, help="small-component range")
 
     p_sweep = sub.add_parser("sweep", help="percolation sweep over a p grid")
-    common(p_sweep, trials_default=1)
+    common(p_sweep)
+    p_sweep.add_argument("--trials", type=int, default=1)
     p_sweep.add_argument(
         "--p",
         required=True,
@@ -410,14 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_local = sub.add_parser("local-census", help="local property count experiment")
-    common(p_local, trials_default=1)
+    common(p_local)
     p_local.add_argument(
         "--property",
         required=True,
         help="root_degree:D | component_exactly:K | component_at_least:K | "
         "max_degree_ball:DELTA,T (join clauses with &)",
     )
-    p_local.add_argument("--samples", type=int, default=100_000, help="tree MC samples")
     return parser
 
 
@@ -432,7 +426,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 # Size flags that must be >= 1; whichever of them a subcommand has.
-_POSITIVE_FLAGS = ("n", "trials", "kmax", "samples", "max_attempts")
+_POSITIVE_FLAGS = ("n", "trials", "kmax", "max_attempts")
 
 
 def _check_flags(args) -> None:
@@ -469,9 +463,7 @@ def run(args) -> int:
             dist, args.n, _parse_grid(args.p), args.trials, args.seed
         )
     elif args.command == "local-census":
-        records = [
-            cmd_local_census(dist, args.n, args.property, args.seed, args.samples)
-        ]
+        records = [cmd_local_census(dist, args.n, args.property, args.seed)]
     else:  # pragma: no cover - argparse enforces the choices
         raise SpecParseError(f"unknown command {args.command!r}")
     text = records_to_csv(records) if args.format == "csv" else records_to_json(records)

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the production code paths: tree-size
 probabilities come from explicit enumeration of preorder offspring sequences
-and from a forest convolution recursion, survival probabilities from
+and from a forest convolution recursion, limit-tree property probabilities
+from a seeded Monte Carlo over sampled trees, survival probabilities from
 polynomial root finding, matching laws from recursive enumeration of perfect
 matchings, and local properties from one BFS ball per vertex decided by
 looking at the ball alone.
@@ -10,6 +11,7 @@ looking at the ball alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -24,10 +26,18 @@ from gclab.census import (
     LocalProperty,
     MaxDegreeBall,
     RootDegree,
+    property_mask,
 )
 from gclab.configuration import DegreeSequence, MultiGraph
-from gclab.distributions import Distribution, mean, offspring, supercriticality
+from gclab.distributions import Distribution, mean, offspring, sample, supercriticality
 from gclab.errors import InsufficientRadius
+
+DEFAULT_CAP = 10**4
+
+# Keeps the scratch arrays of the batched tree samplers bounded: draws per
+# round in sample_tree_sizes, expected vertices per forest in
+# tree_property_probability.
+_DRAW_CHUNK = 8_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +171,131 @@ def joint_thinning_oracle(dist: Distribution, p: float) -> np.ndarray:
         for i in range(j + 1):
             out[i, j] = r_j * comb(j, i) * p**i * (1.0 - p) ** (j - i)
     return out
+
+
+# ---------------------------------------------------------------------------
+# limit-tree Monte Carlo oracle
+
+
+def sample_tree_sizes(
+    dist: Distribution,
+    n_samples: int,
+    rng: np.random.Generator,
+    cap: int = DEFAULT_CAP,
+) -> np.ndarray:
+    """Sizes of independent two-stage trees, grown breadth-first in bulk.
+
+    Entries <= cap are exact tree sizes. A sample whose vertex count passes
+    ``cap`` stops growing; its entry is the partial count, always > cap, so
+    ``sizes > cap`` is the exceeded-cap mask.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if n_samples < 0:
+        raise ValueError("n_samples must be >= 0")
+    z = offspring(dist)
+    gen = sample(dist, rng, size=n_samples).astype(np.int64)
+    sizes = 1 + gen.copy()
+    active = np.flatnonzero((gen > 0) & (sizes <= cap))
+    while active.size:
+        counts = gen[active]
+        # Bound scratch memory: expand very wide generations in slices.
+        split_at = np.searchsorted(np.cumsum(counts), _DRAW_CHUNK)
+        if split_at < active.size:
+            split_at = max(split_at, 1)
+            chunk, active = active[:split_at], active[split_at:]
+        else:
+            chunk, active = active, active[:0]
+        counts = gen[chunk]
+        draws = sample(z, rng, size=int(counts.sum()))
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        nxt = np.add.reduceat(draws, starts)
+        sizes[chunk] += nxt
+        gen[chunk] = nxt
+        still = chunk[(nxt > 0) & (sizes[chunk] <= cap)]
+        active = np.concatenate([active, still])
+    return sizes
+
+
+def sample_tree_forest(
+    dist: Distribution, n_trees: int, rng: np.random.Generator, depth: int
+) -> MultiGraph:
+    """Independent two-stage trees cut at ``depth``, as one disjoint forest.
+
+    Roots are vertices 0..n_trees-1; the vertices of each later level
+    follow those of the level before it. The root offspring counts come
+    from one draw of ``dist``, each later level's from one draw of the
+    offspring law over the whole level. Vertices at ``depth`` keep the edge
+    to their parent but get no children, so their degree understates the
+    full tree; every vertex closer to its root has its full degree.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if n_trees < 0:
+        raise ValueError("n_trees must be >= 0")
+    frontier = np.arange(n_trees, dtype=np.int64)
+    parents = [np.empty(0, dtype=np.int64)]
+    law = dist
+    for level in range(depth):
+        if not frontier.size:
+            break
+        if level == 1:
+            # Only reached when some root has a child, so E(D) > 0 and the
+            # offspring law exists; a zero-mean law never asks for it.
+            law = offspring(dist)
+        children = np.repeat(frontier, sample(law, rng, size=frontier.size))
+        parents.append(children)
+        first = frontier[-1] + 1  # ids run level by level
+        frontier = np.arange(first, first + children.size, dtype=np.int64)
+    parent = np.concatenate(parents)
+    child = np.arange(n_trees, n_trees + parent.size, dtype=np.int64)
+    return MultiGraph(n_trees + parent.size, np.column_stack((parent, child)))
+
+
+def _roots_per_forest(dist: Distribution, depth: int) -> int:
+    """Trees per forest so that a forest has about _DRAW_CHUNK vertices.
+
+    A tree cut at ``depth`` has 1 + E(D) (1 + E(Z) + ... + E(Z)^(depth-1))
+    vertices on average. At least one tree goes in every forest.
+    """
+    size = 1.0
+    mean_d = mean(dist)
+    if depth and mean_d > 0.0:
+        growth = mean(offspring(dist))
+        if growth == 1.0:
+            size += mean_d * depth
+        else:
+            # The geometric sum in closed form; capping the exponent keeps
+            # expm1 finite, and past e^690 one tree per forest is the answer.
+            log_power = depth * math.log(growth) if growth > 0.0 else -math.inf
+            size += mean_d * math.expm1(min(log_power, 690.0)) / (growth - 1.0)
+    return max(1, int(_DRAW_CHUNK // size))
+
+
+def tree_property_probability(
+    dist: Distribution,
+    prop: LocalProperty,
+    samples: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Monte Carlo estimate of the probability that the limit tree has prop.
+
+    Returns (estimate, 95% normal-approximation half-width). The trees are
+    drawn as forests cut at the property's own radius, which by locality
+    decides it at every root, and ``property_mask`` reads it off the roots.
+    """
+    if samples < 1:
+        raise ValueError("need samples >= 1")
+    radius = prop.radius  # raises UnboundedRadius for radius-free properties
+    per_forest = _roots_per_forest(dist, radius)
+    hits = 0
+    for start in range(0, samples, per_forest):
+        roots = min(per_forest, samples - start)
+        forest = sample_tree_forest(dist, roots, rng, radius)
+        hits += int(np.count_nonzero(property_mask(forest, prop)[:roots]))
+    estimate = hits / samples
+    half_width = 1.96 * float(np.sqrt(estimate * (1.0 - estimate) / samples))
+    return estimate, half_width
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,43 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from gclab import branching
 from gclab.branching import (
+    MAX_BALL_RADIUS,
+    MAX_COMPONENT_SIZE,
     critical_percolation,
-    giant_degree_fraction,
+    giant_degree_fractions,
+    limit_probability,
     rho,
     rho_k_table,
-    sample_tree_forest,
-    sample_tree_sizes,
     solve_x_plus,
-    tree_property_probability,
 )
-from gclab.census import ComponentSizeExactly, MaxDegreeBall, RootDegree, components
+from gclab.census import (
+    ComponentSizeAtLeast,
+    ComponentSizeExactly,
+    Conjunction,
+    MaxDegreeBall,
+    RootDegree,
+    components,
+)
 from gclab.distributions import Distribution, mean, offspring, supercriticality, thin
-from gclab.errors import DegenerateDistribution, NoThreshold, ZeroMean
+from gclab.errors import DegenerateDistribution, NoThreshold, SpecParseError, ZeroMean
+from gclab.labcli import parse_property_spec
 
+import helpers
 from helpers import (
     enumerate_tree_size_probs,
     neighborhood,
     random_distribution,
     rho_k_recursion_oracle,
+    sample_tree_forest,
+    sample_tree_sizes,
     survival_oracle,
     survival_oracle_exact,
+    tree_property_probability,
 )
 
 
@@ -414,12 +427,107 @@ def test_tree_probability_splits_roots_into_forests(monkeypatch, mixture, matchi
     whole = tree_property_probability(mixture, RootDegree(3), 999, np.random.default_rng(4))
     # A draw budget below one tree's size still puts one root in each forest
     # and counts every sample once.
-    monkeypatch.setattr(branching, "_DRAW_CHUNK", 1)
+    monkeypatch.setattr(helpers, "_DRAW_CHUNK", 1)
     assert tree_property_probability(mixture, RootDegree(3), 999, np.random.default_rng(4)) == whole
     assert tree_property_probability(matching_law, ComponentSizeExactly(2), 7, rng) == (1.0, 0.0)
     assert tree_property_probability(regular3, RootDegree(3), 5, rng) == (1.0, 0.0)
-    monkeypatch.setattr(branching, "_DRAW_CHUNK", 45)  # 4.5 trees of 10 vertices
+    monkeypatch.setattr(helpers, "_DRAW_CHUNK", 45)  # 4.5 trees of 10 vertices
     assert tree_property_probability(regular3, MaxDegreeBall(3, 1), 13, rng) == (1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact limit-tree probabilities
+
+
+# A size window and one or two balls in every conjunction, perhaps a root
+# degree too, so that degree caps and size windows always meet.
+_CONJUNCTIONS = st.tuples(
+    st.lists(st.builds(RootDegree, st.integers(1, 4)), max_size=1),
+    st.builds(ComponentSizeExactly, st.integers(2, 5)) | st.builds(ComponentSizeAtLeast, st.integers(2, 5)),
+    st.lists(st.builds(MaxDegreeBall, st.integers(2, 4), st.integers(0, 2)), min_size=1, max_size=2),
+).map(lambda kinds: Conjunction(tuple(kinds[0] + [kinds[1]] + kinds[2])))
+
+@given(
+    st.lists(st.just(0.0) | st.floats(0.01, 1.0), min_size=4, max_size=4),
+    _CONJUNCTIONS,
+    st.integers(0, 2**32 - 1),
+)
+def test_limit_probability_matches_monte_carlo(weights, prop, seed):
+    # Degree 1 keeps at least a fifth of the mass, so small trees are common.
+    atoms = [(1, 1.0)] + list(zip((0, 2, 3, 4), weights))
+    total = sum(w for _, w in atoms)
+    law = Distribution([(v, w / total) for v, w in atoms])
+    samples = 10_000
+    exact = limit_probability(law, prop)
+    estimate, _ = tree_property_probability(law, prop, samples, np.random.default_rng(seed))
+    assert abs(estimate - exact) <= 4 * math.sqrt(exact * (1.0 - exact) / samples)
+
+
+def test_limit_probability_pinned_values(mixture):
+    law = Distribution([(1, 0.3), (2, 0.2), (4, 0.3), (6, 0.2)])
+    # Monte Carlo at 400k samples: 0.06605 +- 0.00077.
+    got = limit_probability(law, parse_property_spec("max_degree_ball:4,2&component_at_least:3"))
+    assert got == pytest.approx(0.06598475623108624, rel=1e-14)
+    # r_2 (q_0 + q_1)^2 with q_z = (z + 1) r_(z+1) / E(D).
+    got = limit_probability(law, parse_property_spec("root_degree:2&max_degree_ball:2,1"))
+    assert got == pytest.approx(0.2 * (0.7 / 3.1) ** 2, rel=1e-14)
+    assert got == pytest.approx(0.01019771071800208, rel=1e-14)
+    assert limit_probability(law, ComponentSizeExactly(5)) == rho_k_table(law, 5).rho_k[4]
+    # Degrees 1 and 3 keep every ball within degree 3 and no root is alone:
+    # exactly 1.0, also where the masses sum to 1 - 2^-53 in floats.
+    spec = "max_degree_ball:3,2&component_at_least:2"
+    assert limit_probability(mixture, parse_property_spec(spec)) == 1.0
+    assert limit_probability(Distribution([(1, 0.6), (2, 0.3), (3, 0.1)]), parse_property_spec(spec)) == 1.0
+    # Size 4 with degrees <= 2 up to depth 1: a path from a leaf root, or a
+    # degree-2 root with one grandchild. q_z = (z + 1) r_(z+1) / E(D).
+    r1, r2, r3 = 0.5, 0.3, 0.2
+    q0, q1 = r1 / 1.7, 2 * r2 / 1.7
+    got = limit_probability(Distribution([(1, r1), (2, r2), (3, r3)]), parse_property_spec("max_degree_ball:2,1&component_exactly:4"))
+    assert got == pytest.approx(r1 * q1**2 * q0 + 2 * r2 * q1 * q0**2, rel=1e-14)
+    assert limit_probability(mixture, RootDegree(3)) == 0.5
+    got = limit_probability(mixture, ComponentSizeExactly(60))
+    assert got == rho_k_table(mixture, 60).rho_k[59]
+    assert got == pytest.approx(2.0031300756360564e-07, rel=1e-15)
+
+
+@pytest.mark.parametrize("law", ["mixture", "regular3", "critical_mix", "matching_law", "all_twos"])
+def test_component_exactly_is_the_small_tree_table(request, law):
+    dist = request.getfixturevalue(law)
+    table = rho_k_table(dist, 20)
+    for k in range(1, 21):
+        assert limit_probability(dist, ComponentSizeExactly(k)) == table.rho_k[k - 1]
+
+
+def test_limit_probability_empty_conditions(mixture):
+    assert limit_probability(mixture, Conjunction((RootDegree(1), RootDegree(3)))) == 0.0
+    assert limit_probability(mixture, Conjunction((ComponentSizeExactly(3), ComponentSizeAtLeast(4)))) == 0.0
+    assert limit_probability(mixture, Conjunction((ComponentSizeExactly(3), ComponentSizeExactly(4)))) == 0.0
+    assert limit_probability(mixture, ComponentSizeExactly(0)) == 0.0
+    assert limit_probability(mixture, MaxDegreeBall(0, 0)) == 0.0
+
+
+def test_limit_probability_on_a_zero_mean_law():
+    # {0: 1} has no offspring law; no spec may ask for it.
+    lonely = Distribution([(0, 1.0)])
+    assert limit_probability(lonely, RootDegree(0)) == 1.0
+    assert limit_probability(lonely, ComponentSizeExactly(1)) == 1.0
+    assert limit_probability(lonely, parse_property_spec("max_degree_ball:0,3&component_exactly:1")) == 1.0
+    assert limit_probability(lonely, ComponentSizeAtLeast(2)) == 0.0
+    assert limit_probability(lonely, RootDegree(1)) == 0.0
+
+
+def test_limit_probability_refuses_specs_past_the_caps(mixture):
+    at_caps = Conjunction((MaxDegreeBall(3, MAX_BALL_RADIUS), ComponentSizeExactly(MAX_COMPONENT_SIZE)))
+    assert 0.0 <= limit_probability(mixture, at_caps) <= 1.0
+    assert 0.0 <= limit_probability(mixture, ComponentSizeAtLeast(MAX_COMPONENT_SIZE + 1)) <= 1.0
+    for prop in [
+        ComponentSizeExactly(MAX_COMPONENT_SIZE + 1),
+        ComponentSizeAtLeast(MAX_COMPONENT_SIZE + 2),
+        MaxDegreeBall(3, MAX_BALL_RADIUS + 1),
+        Conjunction((RootDegree(1), MaxDegreeBall(3, 10**12))),
+    ]:
+        with pytest.raises(SpecParseError):
+            limit_probability(mixture, prop)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +535,10 @@ def test_tree_probability_splits_roots_into_forests(monkeypatch, mixture, matchi
 
 
 def test_giant_degree_fraction_mixture(mixture):
-    assert giant_degree_fraction(mixture, 3) == pytest.approx(13 / 27, abs=1e-10)
-    assert giant_degree_fraction(mixture, 1) == pytest.approx(1 / 3, abs=1e-10)
-    assert giant_degree_fraction(mixture, 7) == 0.0
+    shares = giant_degree_fractions(mixture)
+    assert shares[3] == pytest.approx(13 / 27, abs=1e-10)
+    assert shares[1] == pytest.approx(1 / 3, abs=1e-10)
+    assert shares.get(7, 0.0) == 0.0
 
 
 def test_giant_degree_fractions_sum_to_rho(mixture, rng):
@@ -438,7 +547,7 @@ def test_giant_degree_fractions_sum_to_rho(mixture, rng):
         for _ in range(10)
     ]
     for d in dists:
-        total = sum(giant_degree_fraction(d, int(v)) for v in d.support)
+        total = sum(giant_degree_fractions(d).values())
         assert total == pytest.approx(rho(d), abs=1e-12)
 
 
@@ -447,14 +556,16 @@ def test_giant_degree_fractions_sum_to_rho_near_criticality(regular3):
     # to rho to rounding even where rho itself is tiny.
     for k in range(6, 13):
         d = thin(regular3, 0.5 + 10.0**-k)
-        total = sum(giant_degree_fraction(d, int(v)) for v in d.support)
+        total = sum(giant_degree_fractions(d).values())
         assert total == pytest.approx(rho(d), rel=1e-15, abs=0.0)
 
 
 def test_giant_degree_fraction_is_plus_zero_off_the_support(mixture, regular3):
-    # x_plus = 1 for reg3, where (1 - x_plus)^0 is 0^0.
-    for d, degree in [(regular3, 0), (regular3, 7), (regular3, -1), (mixture, 0), (mixture, 2)]:
-        got = giant_degree_fraction(d, degree)
+    # x_plus = 1 for reg3 and for {0: 1/2, 3: 1/2}, where (1 - x_plus)^0 is 0^0.
+    zero_or_three = Distribution([(0, 0.5), (3, 0.5)])
+    cases = [(regular3, 0), (regular3, 7), (regular3, -1), (mixture, 0), (mixture, 2), (zero_or_three, 0)]
+    for d, degree in cases:
+        got = giant_degree_fractions(d).get(degree, 0.0)
         assert got == 0.0 and np.copysign(1.0, got) == 1.0
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gclab.branching import sample_tree_forest, tree_property_probability
 from gclab.census import (
     ComponentSizeAtLeast,
     ComponentSizeExactly,
@@ -19,7 +18,13 @@ from gclab.configuration import MultiGraph, sample_degree_sequence, sample_pairi
 from gclab.distributions import Distribution
 from gclab.errors import InsufficientRadius
 
-from helpers import evaluate_property, neighborhood, random_multigraph
+from helpers import (
+    evaluate_property,
+    neighborhood,
+    random_multigraph,
+    sample_tree_forest,
+    tree_property_probability,
+)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gclab.distributions import (
     MAX_SUPPORT,
@@ -59,6 +61,31 @@ def test_constructor_records_truncation_and_renormalizes():
     assert 0.0 <= d.truncated_mass <= 1e-9
     assert abs(d.probs.sum() - 1.0) <= 1e-12
     assert abs(mean(d) - lam) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "masses",
+    [
+        [(1.5, 0.5), (3, 0.5)],
+        [(True, 0.5), (3, 0.5)],
+        [(np.bool_(True), 1.0)],
+        [(np.float64(1.0), 1.0)],
+        [(1, "1.0")],
+        [(1, True)],
+        [(1, np.bool_(True))],
+        [(1, None)],
+    ],
+)
+def test_constructor_refuses_inexact_atoms(masses):
+    # Nothing is truncated, rounded or parsed: 1.5 is not degree 1, True is
+    # not the integer 1 and "1.0" is not a number.
+    with pytest.raises(ValueError):
+        Distribution(masses)
+
+
+def test_constructor_takes_numpy_numbers():
+    d = Distribution([(np.int64(1), np.float32(0.5)), (np.int32(3), 0.5)])
+    assert d.masses == [(1, 0.5), (3, 0.5)]
 
 
 def test_probabilities_sum_to_one_within_tolerance():
@@ -282,6 +309,13 @@ def test_json_round_trip(mixture):
     doc = to_json_doc(mixture)
     assert doc == {"masses": [[1, 0.5], [3, 0.5]]}
     assert from_json_doc(doc) == mixture
+
+
+@given(st.dictionaries(st.integers(0, MAX_SUPPORT), st.floats(1e-6, 1.0), min_size=1, max_size=30))
+def test_json_round_trip_random_laws(weights):
+    total = sum(weights.values())
+    d = Distribution([(v, w / total) for v, w in weights.items()])
+    assert from_json_doc(to_json_doc(d)) == d
 
 
 def test_json_rejects_malformed_docs():

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from gclab import labcli
+from gclab import branching, labcli
 from gclab.census import Conjunction, MaxDegreeBall, RootDegree
+from gclab.distributions import Distribution
 from gclab.errors import SpecParseError, UnboundedRadius
 
 
@@ -63,6 +64,16 @@ def test_analyze_mixture(mixture_spec, capsys):
     assert report["rho_k"][1] == pytest.approx(1 / 8, abs=1e-12)
     assert report["giant_degree_fractions"]["3"] == pytest.approx(13 / 27, abs=1e-9)
     assert report["caveat"] is None
+
+
+def test_analyze_solves_the_survival_equation_once(monkeypatch, tmp_path, capsys):
+    solve, calls = branching.solve_x_plus, []
+    monkeypatch.setattr(branching, "solve_x_plus", lambda dist: calls.append(dist) or solve(dist))
+    spec = write_spec(tmp_path, "uniform.json", [[d, 0.05] for d in range(1, 21)])
+    assert labcli.main(["analyze", "--dist", spec]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert len(report["giant_degree_fractions"]) == 20
 
 
 def test_analyze_regular3(regular3_spec, capsys):
@@ -198,13 +209,13 @@ def test_local_census_absent_degree(mixture_spec, capsys):
     code = labcli.main(
         [
             "local-census", "--dist", mixture_spec, "--n", "5000", "--seed", "9",
-            "--property", "root_degree:5", "--samples", "500", "--format", "json",
+            "--property", "root_degree:5", "--format", "json",
         ]
     )
     assert code == 0
     (rec,) = json.loads(capsys.readouterr().out)
     assert rec["observed"]["whole_fraction"] == 0.0
-    assert rec["predicted"]["whole_fraction_closed"] == 0.0
+    assert rec["predicted"]["whole_fraction"] == 0.0
     assert rec["predicted"]["giant_fraction"] == 0.0
 
 
@@ -212,7 +223,7 @@ def test_local_census_degree_three(mixture_spec, capsys):
     code = labcli.main(
         [
             "local-census", "--dist", mixture_spec, "--n", "30000", "--seed", "1",
-            "--property", "root_degree:3", "--samples", "4000", "--format", "json",
+            "--property", "root_degree:3", "--format", "json",
         ]
     )
     assert code == 0
@@ -220,6 +231,41 @@ def test_local_census_degree_three(mixture_spec, capsys):
     assert abs(rec["observed"]["whole_fraction"] - 0.5) <= 0.02
     assert abs(rec["observed"]["giant_fraction"] - 13 / 27) <= 0.02
     assert rec["predicted"]["giant_fraction"] == pytest.approx(13 / 27, abs=1e-9)
+
+
+def test_local_census_prints_the_exact_limit(mixture_spec, capsys):
+    spec = "max_degree_ball:3,2&component_at_least:2"
+    assert labcli.main(["local-census", "--dist", mixture_spec, "--n", "2000", "--property", spec]) == 0
+    first, header, row = capsys.readouterr().out.splitlines()
+    columns = "n,seed,property,whole_fraction,giant_fraction,pred_whole_fraction,pred_giant_fraction"
+    assert first == "# gclab local-census v2 columns: " + columns
+    assert header == columns
+    assert read_csv("\n".join([header, row]))[0]["pred_whole_fraction"] == "1.0"
+
+
+def test_local_census_large_component_spec(mixture_spec, capsys):
+    # Trees grown to size 60 used to take gigabytes; the series takes 60 terms.
+    code = labcli.main(
+        [
+            "local-census", "--dist", mixture_spec, "--n", "2000",
+            "--property", "component_exactly:60", "--format", "json",
+        ]
+    )
+    assert code == 0
+    (rec,) = json.loads(capsys.readouterr().out)
+    mixture = Distribution([(1, 0.5), (3, 0.5)])
+    assert rec["predicted"]["whole_fraction"] == branching.rho_k_table(mixture, 60).rho_k[59]
+    assert set(rec["params"]) == {"n", "seed", "property"}
+    assert set(rec["predicted"]) == {"whole_fraction", "giant_fraction"}
+
+
+@pytest.mark.parametrize("spec", ["component_exactly:201", "component_at_least:202", "max_degree_ball:3,1001"])
+def test_local_census_refuses_specs_past_the_caps(mixture_spec, capsys, spec):
+    argv = ["local-census", "--dist", mixture_spec, "--n", "100", "--property", spec]
+    assert labcli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +291,7 @@ def test_csv_quotes_property_spec_with_comma(mixture_spec, capsys):
     code = labcli.main(
         [
             "local-census", "--dist", mixture_spec, "--n", "2000", "--seed", "1",
-            "--property", spec, "--samples", "200",
+            "--property", spec,
         ]
     )
     assert code == 0
@@ -276,8 +322,8 @@ def test_exit_code_on_bad_spec(tmp_path):
     "argv",
     [
         ["giant", "--n", "0"],
-        ["local-census", "--property", "root_degree:3", "--samples", "0"],
-        ["local-census", "--property", "root_degree:3", "--samples", "-5"],
+        ["local-census", "--property", "root_degree:3", "--n", "0"],
+        ["sweep", "--p", "0.5", "--trials", "0"],
         ["giant", "--trials", "-1"],
         ["giant", "--kmax", "0"],
         ["analyze", "--kmax", "-3"],
@@ -291,6 +337,34 @@ def test_exit_code_on_out_of_range_flags(mixture_spec, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["local-census", "--property", "root_degree:3", "--samples", "5"],
+        ["local-census", "--property", "root_degree:3", "--trials", "3"],
+    ],
+)
+def test_argparse_refuses_flags_local_census_lacks(mixture_spec, argv):
+    with pytest.raises(SystemExit) as exc:
+        labcli.main(argv + ["--dist", mixture_spec])
+    assert exc.value.code == 2
+
+
+def test_positive_flags_are_parser_dests():
+    # _check_flags skips a name no subcommand has, so a stale one would
+    # check nothing without any error.
+    parser = labcli.build_parser()
+    dests = set()
+    for argv in (
+        ["analyze"],
+        ["giant"],
+        ["sweep", "--p", "0.5"],
+        ["local-census", "--property", "root_degree:1"],
+    ):
+        dests |= set(vars(parser.parse_args(argv + ["--dist", "law.json"])))
+    assert set(labcli._POSITIVE_FLAGS) <= dests
 
 
 @pytest.mark.parametrize(
