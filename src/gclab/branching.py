@@ -25,7 +25,7 @@ from .census import (
     RootDegree,
 )
 from .distributions import Distribution, mean, offspring
-from .errors import DegenerateDistribution, NoThreshold, SpecParseError, ZeroMean
+from .errors import DegenerateDistribution, NoThreshold, SpecParseError
 
 # Newton on the concave survival function k (see solve_x_plus) rises
 # monotonically to a simple root after its first step, quadratically near
@@ -57,7 +57,7 @@ class SurvivalSolution:
     the limiting fraction of vertices of degree d in the giant.
     ``iterations`` counts Newton steps (0 when the subcritical short-circuit
     answered). ``residual`` is |E[y^Z] - y| at the returned extinction
-    probability y = 1 - x_plus. ``converged`` is true when a step below the
+    probability y = 1 - x_plus, 0 for E(D) = 0. ``converged`` is true when a step below the
     tolerance or the short-circuit ended the solve; it is false only when
     the step bound ran out first.
     """
@@ -88,10 +88,6 @@ class ProgenyTable:
         return float(self.rho_k[k - 1])
 
 
-def _prob_at_least(dist: Distribution, cutoff: int) -> float:
-    return float(dist.probs[dist.support >= cutoff].sum())
-
-
 def solve_x_plus(dist: Distribution) -> SurvivalSolution:
     """Largest root in [0, 1] of the one-stage survival equation.
 
@@ -110,15 +106,19 @@ def solve_x_plus(dist: Distribution) -> SurvivalSolution:
     monotonically to the root. With 1 - (1-x)^j taken as -expm1(j log1p(-x)),
     x_plus and rho keep their relative accuracy near criticality, limited
     by the rounding of the law's probabilities rather than by the solver.
+
+    One law has no answer: D on {0, 2}, where Z = 1 surely. Every component
+    is then a cycle or a lone vertex and the largest cycle holds a random,
+    non-vanishing share of the vertices, so DegenerateDistribution is
+    raised. Every other law on {0, 1, 2} has r_1 > 0, hence E[Z] < 1, or
+    E(D) = 0 and no edges; both get x_plus = rho = 0 with no Newton step.
     """
+    shares = dict.fromkeys(dist.support.tolist(), 0.0)
     if mean(dist) <= 0.0:
-        raise ZeroMean("survival fixed point needs E(D) > 0")
-    if _prob_at_least(dist, 3) <= 0.0:
-        raise DegenerateDistribution(
-            "no mass on degrees >= 3; survival is degenerate for laws "
-            "supported inside {0, 1, 2}"
-        )
+        return SurvivalSolution(0.0, 0.0, shares, 0, 0.0, True)
     z = offspring(dist)
+    if z.support.tolist() == [1]:
+        raise DegenerateDistribution("offspring law Z = 1 (degrees in {0, 2}): L1/n has no limit")
     # sum_i z_i (1 - i): 1 - E[Z] up to the float normalization of z. Near
     # criticality it carries the whole answer, so it is summed exactly: each
     # probability is n / 2^e, so integers over the largest 2^e hold the sum,
@@ -140,7 +140,6 @@ def solve_x_plus(dist: Distribution) -> SurvivalSolution:
     atoms = dist.support > 0
     lost = np.expm1(dist.support[atoms] * _log1m(x))
     rho_val = 0.0 - float(np.dot(dist.probs[atoms], lost))
-    shares = dict.fromkeys(dist.support.tolist(), 0.0)
     shares.update(zip(dist.support[atoms].tolist(), (0.0 - dist.probs[atoms] * lost).tolist()))
     y = 1.0 - x
     residual = abs(float(np.dot(z.probs, y ** z.support.astype(np.float64))) - y)
@@ -184,12 +183,13 @@ def rho_k_table(dist: Distribution, k_max: int) -> ProgenyTable:
     """Exact small-tree probabilities: limit_probability's series with no caps.
 
     rho_k = [s^k] R(s), R(s) = s sum_j r_j T(s)^j and T the one-stage total
-    progeny series by the hitting-time theorem.
+    progeny series by the hitting-time theorem. Every law is answered: T is
+    needed only when some degree above 0 is left, so E(D) = 0 gives rho_1 = 1
+    and 0 beyond. D on {0, 2} gets rho_1 = r_0 and 0 beyond: its cycles are
+    long, though it has no survival limit.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if mean(dist) <= 0.0:
-        raise ZeroMean("offspring law needs E(D) > 0")
     rho_k = _size_series(dist, dist.support >= 0, [], k_max + 1)[1:]
     tail = 1.0 - float(rho_k.sum())
     return ProgenyTable(k_max, rho_k, tail)
@@ -232,10 +232,7 @@ def limit_probability(dist: Distribution, prop: LocalProperty) -> float:
 
 
 def _reduce(dist: Distribution, prop: LocalProperty) -> tuple[np.ndarray, list[int], int, float]:
-    """(mask of the allowed root degrees in the support, c(0..L), a, b).
-
-    A max_degree_ball radius below 0 counts as 0, as in ``property_mask``.
-    """
+    """(mask of the allowed root degrees in the support, c(0..L), a, b)."""
     root, balls, low, high = dist.support >= 0, [], 1, math.inf
     parts = [prop]
     while parts:
@@ -249,7 +246,7 @@ def _reduce(dist: Distribution, prop: LocalProperty) -> tuple[np.ndarray, list[i
         elif isinstance(part, ComponentSizeAtLeast):
             low = max(low, part.k)
         elif isinstance(part, MaxDegreeBall):
-            balls.append((max(part.t, 0), part.delta))
+            balls.append((part.t, part.delta))
         else:
             raise TypeError(f"unknown property kind {type(part).__name__}")
     depth = max((t for t, _ in balls), default=-1)

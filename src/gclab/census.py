@@ -128,10 +128,14 @@ class RootDegree(LocalProperty):
 
 @dataclass(frozen=True)
 class MaxDegreeBall(LocalProperty):
-    """No vertex within distance t of the root has degree above delta."""
+    """No vertex within distance t of the root has degree above delta; t >= 0."""
 
     delta: int
     t: int
+
+    def __post_init__(self):
+        if self.t < 0:
+            raise ValueError(f"ball radius must be >= 0, got {self.t}")
 
     @property
     def radius(self) -> int:

@@ -31,10 +31,11 @@ class Distribution:
 
     ``support`` and ``probs`` are parallel arrays with support strictly
     increasing and all probabilities positive (zero atoms are dropped).
-    Values must be integers and probabilities real numbers, bool neither;
-    nothing is rounded or parsed. Construction renormalizes the masses to
-    sum to 1, unless they do up to rounding (so a law rebuilt from its own
-    masses equals it), and records the mass missing from the raw input in
+    Values must be integers that fit in int64 and probabilities real
+    numbers, bool neither; nothing is rounded or parsed, and a bad atom
+    raises ValueError. Construction renormalizes the masses to sum to 1,
+    unless they do up to rounding (so a law rebuilt from its own masses
+    equals it), and records the mass missing from the raw input in
     ``truncated_mass``. Only ``from_json_doc`` enforces ``MAX_SUPPORT``: the
     solver tests build {1: 1/2, 10^5: 1/2} here.
 
@@ -55,8 +56,8 @@ class Distribution:
         values = [v for v, _ in pairs]
         if len(values) != len(set(values)):
             raise ValueError("duplicate support values")
-        if any(v < 0 for v in values):
-            raise ValueError("support values must be non-negative")
+        if any(not 0 <= v <= np.iinfo(np.int64).max for v in values):
+            raise ValueError("support values must be non-negative int64 integers")
         if any(p < 0.0 for _, p in pairs):
             raise ValueError("probabilities must be non-negative")
         total = sum(p for _, p in pairs)
@@ -223,8 +224,8 @@ def from_json_doc(doc) -> Distribution:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise SpecParseError(f"bad mass entry {entry!r}; want [value, probability]")
         value = entry[0]
-        # Distribution refuses non-integer values; a huge one must not reach
-        # its int64 arrays.
+        # Distribution refuses non-integer values; a large one must not reach
+        # its dense vectors (see MAX_SUPPORT).
         if isinstance(value, int) and value > MAX_SUPPORT:
             raise SpecParseError(f"support value {value} exceeds MAX_SUPPORT = {MAX_SUPPORT}")
     try:

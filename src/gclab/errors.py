@@ -14,11 +14,12 @@ class BadProbability(GCLabError):
 
 
 class DegenerateDistribution(GCLabError):
-    """No mass on degrees >= 3: the survival fixed point is degenerate.
+    """The offspring law is Z = 1 surely: L1/n has no limit.
 
-    Distributions supported inside {0, 1, 2} never grow a giant component
-    (isolated vertices, matchings and cycles only), so the survival solver
-    refuses them rather than returning a meaningless root.
+    That is exactly the degree laws on {0, 2} with mass on 2. Every
+    component is a cycle or a lone vertex, and the largest cycle holds a
+    random, non-vanishing share of the vertices, so the survival solver
+    refuses them. Every other law has a limit, 0 where extinction is sure.
     """
 
 

@@ -41,12 +41,12 @@ from .errors import (
     NoThreshold,
     SpecParseError,
     UnboundedRadius,
-    ZeroMean,
 )
 
 DEGENERATE_CAVEAT = (
-    "no mass on degrees >= 3: survival quantities are degenerate "
-    "(laws supported inside {0, 1, 2} yield only paths and cycles, no giant)"
+    "degrees only 0 and 2 (no mass on degree 1 or on degrees >= 3): the offspring "
+    "law is Z = 1, every component is a cycle or a lone vertex, and the largest "
+    "cycle holds a random share of the vertices, so survival quantities have no limit"
 )
 
 
@@ -125,11 +125,14 @@ def cmd_analyze(dist: Distribution, k_max: int = 20) -> dict:
         "rho_k": None,
         "p_c": None,
         "giant_degree_fractions": None,
+        "rho_k_tail": None,
+        "solver_iterations": None,
+        "solver_residual": None,
     }
     if report["mean_degree"] <= 0.0:
-        report["caveat"] = "E(D) = 0: nothing to analyze beyond moments"
-        return report
-    report["mean_offspring"] = distributions.mean(distributions.offspring(dist))
+        report["caveat"] = "E(D) = 0: no edges and no offspring law; every vertex is isolated"
+    else:
+        report["mean_offspring"] = distributions.mean(distributions.offspring(dist))
     table = branching.rho_k_table(dist, k_max)
     report["rho_k"] = [float(x) for x in table.rho_k]
     report["rho_k_tail"] = table.tail
@@ -155,18 +158,11 @@ def cmd_analyze(dist: Distribution, k_max: int = 20) -> dict:
 
 
 def _predicted_rho(law: Distribution) -> float | None:
-    """Limit of L1/n for degree law ``law``, or None where there is none.
-
-    A zero-mean law has no edges: 0.0. On {0, 1, 2} with r_1 > 0 the law is
-    strictly subcritical (E D(D-2) = -r_1 < 0): 0.0. On {0, 2} the largest
-    cycle holds a random, non-vanishing share of the vertices: None.
-    """
+    """Limit of L1/n for degree law ``law``, or None on {0, 2}, where there is none."""
     try:
         return branching.rho(law)
-    except ZeroMean:
-        return 0.0
     except DegenerateDistribution:
-        return 0.0 if law.pmf(1) > 0.0 else None
+        return None
 
 
 def cmd_giant(
@@ -180,11 +176,7 @@ def cmd_giant(
 ) -> list[ExperimentRecord]:
     """Sample graphs, take the component census, and pair it with the limits."""
     predicted_rho = _predicted_rho(dist)
-    try:
-        table = branching.rho_k_table(dist, k_small)
-        predicted_rho_k = [float(x) for x in table.rho_k]
-    except ZeroMean:
-        predicted_rho_k = [None] * k_small
+    predicted_rho_k = [float(x) for x in branching.rho_k_table(dist, k_small).rho_k]
     records = []
     for trial in range(trials):
         rng = trial_rng(seed, trial)
@@ -286,7 +278,7 @@ def cmd_local_census(
     if isinstance(prop, RootDegree):
         try:
             predicted_giant = branching.giant_degree_fractions(dist).get(prop.d, 0.0)
-        except (DegenerateDistribution, ZeroMean):
+        except DegenerateDistribution:
             pass
     rng_graph = trial_rng(seed, 0)
     ds = configuration.sample_degree_sequence(dist, n, rng_graph)

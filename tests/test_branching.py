@@ -24,7 +24,7 @@ from gclab.census import (
     components,
 )
 from gclab.distributions import Distribution, mean, offspring, supercriticality, thin
-from gclab.errors import DegenerateDistribution, NoThreshold, SpecParseError, ZeroMean
+from gclab.errors import DegenerateDistribution, NoThreshold, SpecParseError
 from gclab.labcli import parse_property_spec
 
 import helpers
@@ -92,12 +92,16 @@ def test_x_plus_matches_root_finding_oracle(rng):
 
 
 def test_solver_refuses_degenerate_laws(all_twos, matching_law):
+    # Only Z = 1 surely, D on {0, 2}, has no limit; sure extinction (E[Z] < 1
+    # on {0, 1, 2} with mass on 1, or no edges at all) is exactly 0.
     with pytest.raises(DegenerateDistribution):
         solve_x_plus(all_twos)
     with pytest.raises(DegenerateDistribution):
-        solve_x_plus(matching_law)
-    with pytest.raises(ZeroMean):
-        solve_x_plus(Distribution([(0, 1.0)]))
+        solve_x_plus(Distribution([(0, 0.5), (2, 0.5)]))
+    for law in (matching_law, Distribution([(0, 1.0)])):
+        sol = solve_x_plus(law)
+        assert (sol.x_plus, sol.rho, sol.iterations, sol.converged) == (0.0, 0.0, 0, True)
+        assert all(share == 0.0 and math.copysign(1.0, share) == 1.0 for share in sol.giant_shares.values())
 
 
 def test_rho_values(mixture, critical_mix, regular3):
@@ -261,11 +265,7 @@ def test_rho_k_tail_nearly_exhausted_at_200(mixture, regular3, matching_law, rng
     ]
     for d in corpus:
         table = rho_k_table(d, 200)
-        try:
-            survival = rho(d)
-        except DegenerateDistribution:
-            survival = 0.0
-        assert table.tail - survival < 0.05
+        assert table.tail - rho(d) < 0.05
 
 
 # ---------------------------------------------------------------------------

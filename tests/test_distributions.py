@@ -74,11 +74,12 @@ def test_constructor_records_truncation_and_renormalizes():
         [(1, True)],
         [(1, np.bool_(True))],
         [(1, None)],
+        [(10**30, 1.0)],
     ],
 )
 def test_constructor_refuses_inexact_atoms(masses):
     # Nothing is truncated, rounded or parsed: 1.5 is not degree 1, True is
-    # not the integer 1 and "1.0" is not a number.
+    # not the integer 1, "1.0" is not a number and 10^30 overflows int64.
     with pytest.raises(ValueError):
         Distribution(masses)
 

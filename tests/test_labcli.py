@@ -83,20 +83,24 @@ def test_analyze_regular3(regular3_spec, capsys):
     assert report["p_c"] == 0.5
 
 
-def test_analyze_degenerate_two_cycles(tmp_path, capsys):
+def test_analyze_degenerate_two_cycles(tmp_path, mixture_spec, capsys):
     spec = write_spec(tmp_path, "twos.json", [[2, 1.0]])
     assert labcli.main(["analyze", "--dist", spec]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["x_plus"] is None and report["rho"] is None
     assert "degrees >= 3" in report["caveat"]
     assert report["p_c"] == pytest.approx(1.0)
+    # Every report has the same keys, whichever branch filled them in.
+    for other in (mixture_spec, write_spec(tmp_path, "zero.json", [[0, 1.0]])):
+        assert labcli.main(["analyze", "--dist", other]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == set(report)
 
 
 def test_analyze_zero_mean(tmp_path, capsys):
     spec = write_spec(tmp_path, "zero.json", [[0, 1.0]])
     assert labcli.main(["analyze", "--dist", spec]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["rho"] is None and report["caveat"] is not None
+    assert report["rho"] == 0.0 and report["rho_k"][0] == 1.0 and report["caveat"] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +173,36 @@ def test_sweep_zero_retention(mixture_spec, capsys):
 
 @pytest.mark.parametrize(
     "masses, want",
-    [([[2, 1.0]], ""), ([[1, 0.5], [2, 0.5]], "0.0")],
+    [
+        ([[2, 1.0]], ""),
+        ([[1, 0.5], [2, 0.5]], "0.0"),
+        ([[0, 1.0]], "0.0"),
+        ([[1, 1.0]], "0.0"),
+        ([[0, 0.5], [2, 0.5]], ""),
+    ],
 )
 def test_giant_and_sweep_agree_on_laws_inside_0_1_2(tmp_path, capsys, masses, want):
-    # On {2: 1} the largest cycle holds a random, non-vanishing share, so
-    # there is no limit to print; with mass on degree 1 the law is strictly
-    # subcritical and the limit is 0.
+    # On {0, 2} the largest cycle holds a random, non-vanishing share, so
+    # there is no limit to print; with mass on degree 1, or with no edges,
+    # extinction is sure and the limit is 0. Every command says the same.
     spec = write_spec(tmp_path, "law.json", masses)
     for argv in (["giant"], ["sweep", "--p", "1.0"]):
         assert labcli.main(argv + ["--dist", spec, "--n", "200", "--seed", "1"]) == 0
         for row in read_csv(capsys.readouterr().out):
             assert row["pred_L1_over_n"] == want
+    argv = ["local-census", "--dist", spec, "--n", "200", "--property", "root_degree:1"]
+    assert labcli.main(argv) == 0
+    assert read_csv(capsys.readouterr().out)[0]["pred_giant_fraction"] == want
+    assert labcli.main(["analyze", "--dist", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["rho"] == (float(want) if want else None)
+
+
+def test_giant_predicts_small_components_without_edges(tmp_path, capsys):
+    spec = write_spec(tmp_path, "zero.json", [[0, 1.0]])
+    assert labcli.main(["giant", "--dist", spec, "--n", "200", "--trials", "1", "--kmax", "3"]) == 0
+    (row,) = read_csv(capsys.readouterr().out)
+    assert [row[f"pred_N{k}_over_n"] for k in (1, 2, 3)] == ["1.0", "0.0", "0.0"]
+    assert row["N1_over_n"] == "1.0"
 
 
 def test_sweep_brackets_threshold(regular3_spec, capsys):
@@ -259,7 +282,9 @@ def test_local_census_large_component_spec(mixture_spec, capsys):
     assert set(rec["predicted"]) == {"whole_fraction", "giant_fraction"}
 
 
-@pytest.mark.parametrize("spec", ["component_exactly:201", "component_at_least:202", "max_degree_ball:3,1001"])
+@pytest.mark.parametrize(
+    "spec", ["component_exactly:201", "component_at_least:202", "max_degree_ball:3,1001", "max_degree_ball:1,-1"]
+)
 def test_local_census_refuses_specs_past_the_caps(mixture_spec, capsys, spec):
     argv = ["local-census", "--dist", mixture_spec, "--n", "100", "--property", spec]
     assert labcli.main(argv) == 2
