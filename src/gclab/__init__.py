@@ -53,7 +53,6 @@ from .configuration import (
 from .distributions import (
     Distribution,
     from_json_doc,
-    joint_thinning_matrix,
     load_spec,
     mean,
     offspring,
@@ -80,7 +79,6 @@ from .percolation import (
     color_edges,
     percolate,
     split,
-    thinned_sequence_distance,
 )
 
 __version__ = "0.1.0"

@@ -76,12 +76,9 @@ def components(graph: MultiGraph) -> ComponentCensus:
     """Exact component decomposition; loops are ignored for connectivity."""
     n = graph.n
     e = graph.edges[graph.edges[:, 0] != graph.edges[:, 1]]
-    if e.shape[0]:
-        data = np.ones(e.shape[0], dtype=np.int8)
-        adj = coo_matrix((data, (e[:, 0], e[:, 1])), shape=(n, n))
-        _, labels = connected_components(adj, directed=False)
-    else:
-        labels = np.arange(n)
+    data = np.ones(e.shape[0], dtype=np.int8)
+    adj = coo_matrix((data, (e[:, 0], e[:, 1])), shape=(n, n))
+    _, labels = connected_components(adj, directed=False)
     label_sizes = np.bincount(labels)
     # scipy numbers components in order of their smallest vertex, so a
     # stable sort by size breaks ties by the smallest vertex.

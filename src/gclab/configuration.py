@@ -125,8 +125,6 @@ class MultiGraph:
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees; each loop contributes 2 to its endpoint."""
-        if self.num_edges == 0:
-            return np.zeros(self.n, dtype=np.int64)
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def degree_sequence(self) -> DegreeSequence:
@@ -184,7 +182,7 @@ def sample_degree_sequence(dist: Distribution, n: int, rng: np.random.Generator)
     """n i.i.d. draws; an odd sum is fixed by bumping the last entry by one."""
     if n < 1:
         raise ValueError("need n >= 1")
-    draws = sample(dist, rng, size=n).copy()
+    draws = sample(dist, rng, size=n)
     if int(draws.sum()) % 2 != 0:
         draws[-1] += 1
     return DegreeSequence(draws)

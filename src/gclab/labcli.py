@@ -221,21 +221,23 @@ def cmd_percolation_sweep(
     The graph stream is keyed by the trial alone (so the p = 1 column matches
     ``giant`` runs with the same master seed); each grid point colors edges
     from its own substream keyed by (trial, 1 + grid index).
+    ``conf_distance_red`` is the configuration distance from the retained
+    degrees to thin(dist, p): its concentration is what reduces the
+    percolated graph to a configuration draw on the thinned law.
     """
     for p in p_grid:
         distributions.check_probability(p)
-    predictions = {p: _predicted_rho(distributions.thin(dist, p)) for p in p_grid}
+    thinned = {p: distributions.thin(dist, p) for p in p_grid}
+    predictions = {p: _predicted_rho(law) for p, law in thinned.items()}
     records = []
     for trial in range(trials):
         rng_graph = trial_rng(seed, trial)
         ds = configuration.sample_degree_sequence(dist, n, rng_graph)
         graph = configuration.to_multigraph(configuration.sample_pairing(ds, rng_graph))
         for index, p in enumerate(p_grid):
-            rng_color = trial_rng(seed, trial, 1 + index)
-            colored = percolation.color_edges(graph, p, rng_color)
-            red_graph, _, red_degrees, _ = percolation.split(colored)
+            red_graph = percolation.percolate(graph, p, trial_rng(seed, trial, 1 + index))
             cen = census.components(red_graph)
-            distance = percolation.thinned_sequence_distance(red_degrees, dist, p)
+            distance = configuration.conf_distance(red_graph.degree_sequence(), thinned[p])
             records.append(
                 ExperimentRecord(
                     experiment="sweep",

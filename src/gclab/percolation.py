@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import DegreeSequence, MultiGraph, conf_distance
-from .distributions import Distribution, check_probability, thin
+from .configuration import DegreeSequence, MultiGraph
+from .distributions import check_probability
 
 
 @dataclass(frozen=True)
@@ -62,15 +62,3 @@ def percolate(graph: MultiGraph, p: float, rng: np.random.Generator) -> MultiGra
     """Keep each edge independently with probability p (the red subgraph)."""
     colored = color_edges(graph, p, rng)
     return MultiGraph(graph.n, graph.edges[colored.red])
-
-
-def thinned_sequence_distance(
-    ds_red: DegreeSequence, dist: Distribution, p: float
-) -> float:
-    """Configuration distance between the retained degrees and thin(dist, p).
-
-    This is the quantity whose concentration makes percolation reducible to
-    the plain model: the percolated graph is a configuration draw from its
-    own (random) degree sequence, which stays close to the thinned law.
-    """
-    return conf_distance(ds_red, thin(dist, p))

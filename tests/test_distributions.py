@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from gclab.distributions import (
     MAX_SUPPORT,
     Distribution,
     from_json_doc,
-    joint_thinning_matrix,
     mean,
     offspring,
     sample,
@@ -151,8 +151,10 @@ def test_offspring_zero_mean_raises():
 
 
 def test_thin_identity(mixture, regular3):
-    for d in (mixture, regular3):
+    for d in (mixture, regular3, Distribution([(0, 1.0)])):
         assert thin(d, 1.0).masses == d.masses
+    # A law without edges is left alone by every thinning.
+    assert thin(Distribution([(0, 1.0)]), 0.3).masses == [(0, 1.0)]
 
 
 def test_thin_point_mass_half(regular3):
@@ -216,48 +218,26 @@ def test_offspring_mean_matches_moment_identity(rng):
         assert abs((mean(offspring(d)) - 1.0) - supercriticality(d) / mean(d)) <= 1e-12
 
 
-# ---------------------------------------------------------------------------
-# joint thinning matrix
-
-
-def test_joint_matrix_single_entry(regular3):
-    m = joint_thinning_matrix(regular3, 0.5)
-    assert m[1, 3] == pytest.approx(3 / 8, abs=1e-15)
-
-
-def test_joint_matrix_no_deletion(mixture):
-    m = joint_thinning_matrix(mixture, 1.0)
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            expected = mixture.pmf(j) if i == j else 0.0
-            assert m[i, j] == pytest.approx(expected, abs=1e-15)
-
-
-def test_joint_matrix_empty_vertex():
-    m = joint_thinning_matrix(Distribution([(0, 1.0)]), 0.3)
-    assert m.shape == (1, 1)
-    assert m[0, 0] == 1.0
-
-
 def test_thinning_matches_term_by_term_oracle(rng):
     for max_value in (8, 40):
         for _ in range(10):
             d = random_distribution(rng, max_value=max_value)
             p = rng.random()
             want = joint_thinning_oracle(d, p)
-            np.testing.assert_allclose(joint_thinning_matrix(d, p), want, rtol=1e-12, atol=1e-15)
             width = d.max_support + 1
             np.testing.assert_allclose(thin(d, p).dense(width), want.sum(axis=1), atol=1e-12)
 
 
-def test_joint_matrix_marginals(rng):
-    for _ in range(10):
-        d = random_distribution(rng)
-        p = rng.random()
-        m = joint_thinning_matrix(d, p)
-        width = d.max_support + 1
-        np.testing.assert_allclose(m.sum(axis=1), thin(d, p).dense(width), atol=1e-12)
-        np.testing.assert_allclose(m.sum(axis=0), d.dense(width), atol=1e-12)
+def test_thin_memory_is_linear_in_max_support():
+    # A dense (max_support + 1) x atoms matrix would take ~800 MB here.
+    uniform = Distribution([(v, 1e-4) for v in range(1, 10**4 + 1)])
+    tracemalloc.start()
+    try:
+        thin(uniform, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,16 @@ import json
 import pytest
 
 from gclab import branching, labcli
-from gclab.census import Conjunction, MaxDegreeBall, RootDegree
-from gclab.distributions import Distribution
+from gclab.census import Conjunction, MaxDegreeBall, RootDegree, components
+from gclab.configuration import (
+    conf_distance,
+    sample_degree_sequence,
+    sample_pairing,
+    to_multigraph,
+)
+from gclab.distributions import Distribution, thin
 from gclab.errors import SpecParseError, UnboundedRadius
+from gclab.percolation import color_edges, split
 
 
 def write_spec(tmp_path, name, masses):
@@ -157,6 +164,25 @@ def test_sweep_full_retention_matches_giant(mixture_spec, capsys):
     for g_row, s_row in zip(giant_rows, sweep_rows):
         assert s_row["L1_over_n"] == g_row["L1_over_n"]
         assert s_row["L2_over_n"] == g_row["L2_over_n"]
+
+
+def test_sweep_matches_split_reference():
+    # Recompute each record from the red half of split and a fresh thinning.
+    dist = Distribution([(1, 0.3), (2, 0.2), (4, 0.3), (6, 0.2)])
+    n, seed, p_grid = 2000, 7, [0.4, 0.8]
+    records = iter(labcli.cmd_percolation_sweep(dist, n, p_grid, trials=2, seed=seed))
+    for trial in range(2):
+        rng = labcli.trial_rng(seed, trial)
+        graph = to_multigraph(sample_pairing(sample_degree_sequence(dist, n, rng), rng))
+        for index, p in enumerate(p_grid):
+            colored = color_edges(graph, p, labcli.trial_rng(seed, trial, 1 + index))
+            red_graph, _, dred, _ = split(colored)
+            cen = components(red_graph)
+            observed = next(records).observed
+            assert observed["L1_over_n"] == cen.largest / n
+            assert observed["L2_over_n"] == cen.second_largest / n
+            assert observed["conf_distance_red"] == conf_distance(dred, thin(dist, p))
+    assert next(records, None) is None
 
 
 def test_sweep_zero_retention(mixture_spec, capsys):
