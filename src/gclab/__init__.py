@@ -29,8 +29,7 @@ from .census import (
     MaxDegreeBall,
     RootDegree,
     components,
-    count_property,
-    count_property_in_giant,
+    property_counts,
     property_mask,
 )
 from .configuration import (

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .configuration import MultiGraph
@@ -74,11 +73,7 @@ class ComponentCensus:
 
 def components(graph: MultiGraph) -> ComponentCensus:
     """Exact component decomposition; loops are ignored for connectivity."""
-    n = graph.n
-    e = graph.edges[graph.edges[:, 0] != graph.edges[:, 1]]
-    data = np.ones(e.shape[0], dtype=np.int8)
-    adj = coo_matrix((data, (e[:, 0], e[:, 1])), shape=(n, n))
-    _, labels = connected_components(adj, directed=False)
+    _, labels = connected_components(graph.pair_csr(), directed=False)
     label_sizes = np.bincount(labels)
     # scipy numbers components in order of their smallest vertex, so a
     # stable sort by size breaks ties by the smallest vertex.
@@ -173,28 +168,26 @@ def property_mask(
     raise TypeError(f"unknown property kind {type(prop).__name__}")
 
 
-def count_property(graph: MultiGraph, prop: LocalProperty) -> int:
-    """Number of vertices whose rooted view satisfies prop."""
-    return int(property_mask(graph, prop).sum())
-
-
-def count_property_in_giant(graph: MultiGraph, prop: LocalProperty) -> int:
-    """Number of vertices of the largest component satisfying prop."""
+def property_counts(graph: MultiGraph, prop: LocalProperty) -> tuple[int, int]:
+    """Vertices whose rooted view satisfies prop: in the whole graph, and in
+    its largest component."""
     census = components(graph)
     mask = property_mask(graph, prop, census)
-    return int((mask & census.giant_mask()).sum())
+    return int(mask.sum()), int((mask & census.giant_mask()).sum())
 
 
 def _within_distance(graph: MultiGraph, sources: np.ndarray, t: int) -> np.ndarray:
     """Vertices within graph distance <= t of any source (multi-source BFS).
 
-    Each step is one product with the boolean adjacency matrix, in which
-    products are ANDs and sums ORs; a step that reaches nothing new ends it.
+    Each step is one product with the boolean pair matrix and one with its
+    transpose, in which products are ANDs and sums ORs; a step that reaches
+    nothing new ends it.
     """
-    adj = graph.adjacency_csr()
+    upper = graph.pair_csr()
+    lower = upper.T
     reached = sources.copy()
     for _ in range(t):
-        grown = reached | (adj @ reached)
+        grown = reached | (upper @ reached) | (lower @ reached)
         if np.array_equal(grown, reached):
             break
         reached = grown

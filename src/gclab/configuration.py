@@ -13,8 +13,17 @@ import json
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .distributions import Distribution, sample
+from .distributions import Distribution, mean, sample
 from .errors import Exhausted, SamePair, SpecParseError
+
+# Largest n + n*E(D), vertices plus expected stubs, that
+# sample_degree_sequence draws for. Peak memory of one giant, sweep or
+# local-census run grows by about 40 bytes per vertex or stub: on
+# {1: 1/2, 99: 1/2} each peaked 152 MB higher at n = 120000 than at
+# n = 40000 (4.1e6 more elements), on {1: 1/2, 3: 1/2} 31 bytes per element
+# (2-core x86 host, numpy 2.4, scipy 1.17). The cap holds a run near 2 GB,
+# and keeps the pair keys u*n + v below 2.5e15, far from int64 overflow.
+MAX_GRAPH_ELEMENTS = 5 * 10**7
 
 
 def _int64_array(values, what: str) -> np.ndarray:
@@ -93,11 +102,6 @@ class Pairing:
         return f"Pairing(2m={self.stub_count}, n={self.n_vertices})"
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> csr_matrix:
-    """Boolean CSR matrix with True at each (rows[i], cols[i]); repeats merge."""
-    return csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=shape)
-
-
 class MultiGraph:
     """Multigraph as a vertex count plus an edge multiset.
 
@@ -106,16 +110,19 @@ class MultiGraph:
     is never mutated; derived adjacency structures are cached lazily.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_inc")
+    __slots__ = ("n", "edges", "_pairs", "_adj", "_inc")
 
     def __init__(self, n: int, edges):
         self.n = int(n)
         arr = _int64_array(edges, "edge endpoints").reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= self.n):
             raise ValueError("edge endpoint outside vertex range")
-        arr = np.sort(arr, axis=1)
-        arr.setflags(write=False)
-        self.edges = arr
+        ordered = np.empty(arr.shape, dtype=np.int64)
+        np.minimum(arr[:, 0], arr[:, 1], out=ordered[:, 0])
+        np.maximum(arr[:, 0], arr[:, 1], out=ordered[:, 1])
+        ordered.setflags(write=False)
+        self.edges = ordered
+        self._pairs = None
         self._adj = None
         self._inc = None
 
@@ -130,21 +137,43 @@ class MultiGraph:
     def degree_sequence(self) -> DegreeSequence:
         return DegreeSequence(self.degrees())
 
+    def pair_csr(self):
+        """Boolean n x n CSR matrix with one True at (u, v) for each distinct
+        non-loop pair u < v; its indices are sorted and hold no repeats.
+
+        Built from the sorted pair keys u*n + v, so it needs no COO
+        conversion and no duplicate merge; ``components`` and the ball BFS
+        read it, and ``adjacency_csr`` is it plus its transpose.
+        """
+        if self._pairs is None:
+            n = self.n
+            u, v = self.edges[:, 0], self.edges[:, 1]
+            keys = (u * n + v)[u != v]
+            # An in-place sort and a neighbour mask: np.unique takes ~60x
+            # longer on 10^6 keys (numpy 2.4).
+            keys.sort()
+            if keys.size:
+                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+            data = np.ones(keys.size, dtype=bool)
+            self._pairs = csr_matrix((data, keys % n, indptr), shape=(n, n))
+        return self._pairs
+
     def adjacency_csr(self):
         """Boolean n x n CSR matrix: row v's ``indices`` are v's distinct
         neighbours (parallel edges merge; loops are invisible to distance)."""
         if self._adj is None:
-            e = self.edges[self.edges[:, 0] != self.edges[:, 1]]
-            rows = np.concatenate([e[:, 0], e[:, 1]])
-            cols = np.concatenate([e[:, 1], e[:, 0]])
-            self._adj = _csr(rows, cols, (self.n, self.n))
+            upper = self.pair_csr()
+            self._adj = upper + upper.T
         return self._adj
 
     def incidence_csr(self):
         """Boolean n x m CSR matrix: row v's ``indices`` are v's edge ids, a loop's once."""
         if self._inc is None:
             m = self.num_edges
-            self._inc = _csr(self.edges.ravel(), np.repeat(np.arange(m), 2), (self.n, m))
+            ends = (self.edges.ravel(), np.repeat(np.arange(m), 2))
+            self._inc = csr_matrix((np.ones(2 * m, dtype=bool), ends), shape=(self.n, m))
         return self._inc
 
     def __repr__(self):
@@ -179,9 +208,20 @@ def tail_mass(ds: DegreeSequence, cutoff: int) -> float:
 
 
 def sample_degree_sequence(dist: Distribution, n: int, rng: np.random.Generator) -> DegreeSequence:
-    """n i.i.d. draws; an odd sum is fixed by bumping the last entry by one."""
+    """n i.i.d. draws; an odd sum is fixed by bumping the last entry by one.
+
+    A draw whose n + n*E(D) passes MAX_GRAPH_ELEMENTS is refused with
+    SpecParseError before anything is allocated.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
+    mu = mean(dist)
+    elements = n + n * mu
+    if elements > MAX_GRAPH_ELEMENTS:
+        raise SpecParseError(
+            f"n = {n} at E(D) = {mu:.6g} needs ~{elements:.3g} vertices and stubs, "
+            f"past MAX_GRAPH_ELEMENTS = {MAX_GRAPH_ELEMENTS:.0e}"
+        )
     draws = sample(dist, rng, size=n)
     if int(draws.sum()) % 2 != 0:
         draws[-1] += 1

@@ -285,10 +285,7 @@ def cmd_local_census(
     rng_graph = trial_rng(seed, 0)
     ds = configuration.sample_degree_sequence(dist, n, rng_graph)
     graph = configuration.to_multigraph(configuration.sample_pairing(ds, rng_graph))
-    cen = census.components(graph)
-    mask = census.property_mask(graph, prop, cen)
-    whole = int(mask.sum())
-    giant = int((mask & cen.giant_mask()).sum())
+    whole, giant = census.property_counts(graph, prop)
     return ExperimentRecord(
         experiment="local-census",
         params={"n": n, "seed": seed, "property": property_spec},

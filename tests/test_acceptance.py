@@ -23,8 +23,7 @@ from gclab.census import (
     MaxDegreeBall,
     RootDegree,
     components,
-    count_property,
-    count_property_in_giant,
+    property_counts,
 )
 from gclab.configuration import (
     DegreeSequence,
@@ -130,8 +129,8 @@ def test_percolation_agreement(regular3):
 def test_giant_restricted_local_counts(mixture, mixture_trials):
     runs, _ = mixture_trials
     graph, _ = runs[0]
-    frac3 = count_property_in_giant(graph, RootDegree(3)) / N_LARGE
-    frac1 = count_property_in_giant(graph, RootDegree(1)) / N_LARGE
+    frac3 = property_counts(graph, RootDegree(3))[1] / N_LARGE
+    frac1 = property_counts(graph, RootDegree(1))[1] / N_LARGE
     pred3 = giant_degree_fractions(mixture)[3]
     pred1 = giant_degree_fractions(mixture)[1]
     identity_gap = abs(pred1 + pred3 - rho(mixture))
@@ -217,7 +216,7 @@ def test_structural_lipschitz_suite(mixture):
         pairing = sample_pairing(ds, rng)
         graph = to_multigraph(pairing)
         cen = components(graph)
-        n_bounded = count_property(graph, bounded)
+        n_bounded = property_counts(graph, bounded)[0]
         for _ in range(1000):
             i, j = rng.choice(pairing.pairs.shape[0], size=2, replace=False)
             pairing = apply_switching(pairing, int(i), int(j))
@@ -232,7 +231,7 @@ def test_structural_lipschitz_suite(mixture):
                     - cen.vertices_in_components_of_size(k)
                 )
                 nk_ok = nk_ok and delta_nk <= 4 * k
-            nxt_bounded = count_property(graph, bounded)
+            nxt_bounded = property_counts(graph, bounded)[0]
             prop_ok = prop_ok and abs(nxt_bounded - n_bounded) <= 16 * delta**t
             cen, n_bounded = nxt, nxt_bounded
             total += 1

@@ -10,8 +10,7 @@ from gclab.census import (
     MaxDegreeBall,
     RootDegree,
     components,
-    count_property,
-    count_property_in_giant,
+    property_counts,
     property_mask,
 )
 from gclab.configuration import MultiGraph, sample_degree_sequence, sample_pairing, to_multigraph
@@ -246,41 +245,43 @@ def test_count_matches_census_for_size_kinds(rng):
         g = random_multigraph(rng, n=25, m=20)
         cen = components(g)
         for k in (1, 2, 3, 4, 7):
-            assert count_property(g, ComponentSizeExactly(k)) == cen.vertices_in_components_of_size(k)
+            assert property_counts(g, ComponentSizeExactly(k))[0] == cen.vertices_in_components_of_size(k)
 
 
 def test_count_root_degree_regular():
     g = MultiGraph(4, [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2], [1, 3]])  # K4, 3-regular
-    assert count_property(g, RootDegree(3)) == 4
+    assert property_counts(g, RootDegree(3))[0] == 4
 
 
 def test_count_max_degree_ball_star():
     # Star on 4 vertices: the center has degree 3 > 2, and every leaf sees
     # it at distance 1, so nobody passes.
     g = MultiGraph(4, [[0, 1], [0, 2], [0, 3]])
-    assert count_property(g, MaxDegreeBall(2, 1)) == 0
+    assert property_counts(g, MaxDegreeBall(2, 1))[0] == 0
 
 
 def test_count_max_degree_ball_saturates(mixture_graph):
     delta = int(mixture_graph.degrees().max())
-    assert count_property(mixture_graph, MaxDegreeBall(delta, 2)) == mixture_graph.n
+    assert property_counts(mixture_graph, MaxDegreeBall(delta, 2))[0] == mixture_graph.n
 
 
 def test_count_in_giant_on_connected_graph():
     g = MultiGraph(3, [[0, 1], [1, 2], [0, 2]])
     for prop in (RootDegree(2), ComponentSizeAtLeast(2)):
-        assert count_property_in_giant(g, prop) == count_property(g, prop)
+        whole, in_giant = property_counts(g, prop)
+        assert in_giant == whole
 
 
 def test_count_in_giant_excludes_small_components():
     g = MultiGraph(5, [[0, 1], [1, 2], [0, 2], [3, 4]])
-    assert count_property_in_giant(g, RootDegree(1)) == 0
-    assert count_property(g, RootDegree(1)) == 2
+    whole, in_giant = property_counts(g, RootDegree(1))
+    assert in_giant == 0
+    assert whole == 2
 
 
 def test_giant_degree_fraction_matches_closed_form(mixture, mixture_graph):
     n = mixture_graph.n
-    got = count_property_in_giant(mixture_graph, RootDegree(3)) / n
+    got = property_counts(mixture_graph, RootDegree(3))[1] / n
     assert abs(got - 13 / 27) <= 0.02
 
 
@@ -307,7 +308,7 @@ def test_counts_track_tree_probabilities(mixture, mixture_graph):
     rng = np.random.default_rng(2718)
     for prop in props:
         assert prop.radius <= 3
-        observed = count_property(mixture_graph, prop) / n
+        observed = property_counts(mixture_graph, prop)[0] / n
         estimate, half_width = tree_property_probability(mixture, prop, 20_000, rng)
         assert abs(observed - estimate) <= 0.02 + half_width
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gclab import configuration
 from gclab.configuration import (
     DegreeSequence,
     MultiGraph,
@@ -19,7 +20,7 @@ from gclab.configuration import (
     tail_mass,
     to_multigraph,
 )
-from gclab.census import MaxDegreeBall, RootDegree, Conjunction, components, count_property
+from gclab.census import MaxDegreeBall, RootDegree, Conjunction, components, property_counts
 from gclab.distributions import Distribution
 from gclab.errors import Exhausted, SamePair, SpecParseError
 
@@ -108,6 +109,14 @@ def test_sample_degree_sequence_point_mass(regular3, rng):
     assert list(sample_degree_sequence(regular3, 4, rng)) == [3, 3, 3, 3]
     # Odd total: the final entry absorbs the parity fix.
     assert list(sample_degree_sequence(regular3, 5, rng)) == [3, 3, 3, 3, 4]
+
+
+def test_sample_degree_sequence_cap_is_inclusive(monkeypatch, mixture, rng):
+    # E(D) = 2 on the mixture: n = 1000 needs exactly 3000 vertices and stubs.
+    monkeypatch.setattr(configuration, "MAX_GRAPH_ELEMENTS", 3000)
+    assert len(sample_degree_sequence(mixture, 1000, rng)) == 1000
+    with pytest.raises(SpecParseError, match="MAX_GRAPH_ELEMENTS"):
+        sample_degree_sequence(mixture, 1001, rng)
 
 
 def test_sample_degree_sequence_converges(mixture):
@@ -258,11 +267,11 @@ def test_switching_bounded_property_lipschitz(mixture):
     prop = Conjunction((RootDegree(3), MaxDegreeBall(delta, t)))
     ds = sample_degree_sequence(mixture, 120, rng)
     pairing = sample_pairing(ds, rng)
-    before = count_property(to_multigraph(pairing), prop)
+    before = property_counts(to_multigraph(pairing), prop)[0]
     for _ in range(300):
         i, j = rng.choice(pairing.pairs.shape[0], size=2, replace=False)
         pairing = apply_switching(pairing, int(i), int(j))
-        after = count_property(to_multigraph(pairing), prop)
+        after = property_counts(to_multigraph(pairing), prop)[0]
         assert abs(after - before) <= 16 * delta**t
         before = after
 
@@ -274,16 +283,16 @@ def test_single_edge_edit_property_lipschitz(mixture):
     prop = Conjunction((RootDegree(3), MaxDegreeBall(delta, t)))
     ds = sample_degree_sequence(mixture, 120, rng)
     g = to_multigraph(sample_pairing(ds, rng))
-    base = count_property(g, prop)
+    base = property_counts(g, prop)[0]
     for _ in range(100):
         # deletion
         drop = int(rng.integers(g.num_edges))
         g_minus = MultiGraph(g.n, np.delete(g.edges, drop, axis=0))
-        assert abs(count_property(g_minus, prop) - base) <= 4 * delta**t
+        assert abs(property_counts(g_minus, prop)[0] - base) <= 4 * delta**t
         # insertion
         u, v = rng.integers(0, g.n, size=2)
         g_plus = MultiGraph(g.n, np.vstack([g.edges, [[u, v]]]))
-        assert abs(count_property(g_plus, prop) - base) <= 4 * delta**t
+        assert abs(property_counts(g_plus, prop)[0] - base) <= 4 * delta**t
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,15 @@ from gclab.configuration import MultiGraph, is_simple
 
 
 @st.composite
-def multigraphs(draw):
+def edge_lists(draw):
     n = draw(st.integers(1, 10))
     m = draw(st.integers(0, 2 * n))
     vertex = st.integers(0, n - 1)
-    return MultiGraph(n, draw(st.lists(st.tuples(vertex, vertex), min_size=m, max_size=m)))
+    return n, draw(st.lists(st.tuples(vertex, vertex), min_size=m, max_size=m))
+
+
+def multigraphs():
+    return edge_lists().map(lambda case: MultiGraph(*case))
 
 
 def to_networkx(graph: MultiGraph) -> nx.MultiGraph:
@@ -41,6 +45,40 @@ def test_adjacency_csr_merges_parallel_edges_and_drops_loops():
         [3, 4],
         [],
     ]
+
+
+@given(edge_lists())
+def test_edges_are_stored_as_sorted_rows(case):
+    n, pairs = case
+    given_edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    kept = given_edges.copy()
+    graph = MultiGraph(n, given_edges)
+    assert np.array_equal(graph.edges, np.sort(kept, axis=1))
+    assert np.array_equal(given_edges, kept)  # the caller's array is not reordered
+    assert not graph.edges.flags.writeable
+
+
+@given(multigraphs())
+def test_pair_csr_holds_each_distinct_pair_once(graph):
+    upper = graph.pair_csr()
+    expected = sorted((min(u, v), max(u, v)) for u, v in nx.Graph(to_networkx(graph)).edges() if u != v)
+    stored = upper.tocoo()
+    assert upper.shape == (graph.n, graph.n) and upper.dtype == bool
+    assert sorted(zip(stored.row.tolist(), stored.col.tolist())) == expected
+    assert bool(upper.data.all())
+    assert upper.has_canonical_format
+    assert bool((stored.row < stored.col).all())
+    assert graph.pair_csr() is upper
+    assert (graph.adjacency_csr() != upper + upper.T).nnz == 0
+
+
+def test_pair_csr_of_graphs_without_pairs():
+    for graph in (MultiGraph(3, []), MultiGraph(3, [[0, 0], [2, 2], [2, 2]])):
+        upper = graph.pair_csr()
+        assert upper.shape == (3, 3) and upper.nnz == 0 and upper.has_canonical_format
+        assert upper.indptr.tolist() == [0, 0, 0, 0]
+        assert graph.adjacency_csr().nnz == 0
+        assert components(graph).sizes.tolist() == [1, 1, 1]
 
 
 @given(multigraphs())

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gclab import branching, labcli
+from gclab import branching, configuration, labcli
 from gclab.census import Conjunction, MaxDegreeBall, RootDegree, components
 from gclab.configuration import (
     conf_distance,
@@ -317,6 +317,29 @@ def test_local_census_refuses_specs_past_the_caps(mixture_spec, capsys, spec):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n", "100000", "--trials", "1", "--p", "0.3,0.5,0.7"],
+        ["giant", "--n", "100000", "--trials", "1"],
+        ["local-census", "--n", "100000", "--property", "root_degree:1"],
+    ],
+)
+def test_graphs_past_the_size_cap_are_refused_before_any_draw(tmp_path, capsys, monkeypatch, argv):
+    # n * E(D) is ~5e8 stubs here, gigabytes of pairing. Drawing nothing
+    # shows the refusal comes first, so nothing large is ever allocated.
+    def draw(*args, **kwargs):
+        raise AssertionError("degrees were drawn")
+
+    monkeypatch.setattr(configuration, "sample", draw)
+    spec = write_spec(tmp_path, "wide.json", [[1, 0.5], [10000, 0.5]])
+    assert labcli.main(argv + ["--dist", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "MAX_GRAPH_ELEMENTS" in captured.err
 
 
 # ---------------------------------------------------------------------------
