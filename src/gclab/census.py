@@ -5,7 +5,7 @@ ball of some finite radius around the root; the built-in kinds below cover
 component-size predicates, the root-degree predicate, and the bounded-degree
 ball predicate used by the concentration machinery. ``property_mask``
 decides a property at every vertex in one vectorized pass (census or
-boolean sparse matrix-vector products), never one BFS per vertex; it is
+whole-array BFS steps over the edge rows), never one BFS per vertex; it is
 the one evaluator of properties on graphs.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .configuration import MultiGraph
 from .errors import UnboundedRadius
@@ -72,11 +71,39 @@ class ComponentCensus:
 
 
 def components(graph: MultiGraph) -> ComponentCensus:
-    """Exact component decomposition; loops are ignored for connectivity."""
-    _, labels = connected_components(graph.pair_csr(), directed=False)
+    """Exact component decomposition; loops are ignored for connectivity.
+
+    Min-label hooking with pointer jumping (Shiloach and Vishkin 1982) over
+    the edge rows, in whole-array rounds. Each round hooks every root to the
+    smallest root it shares an edge with, jumps pointers until each vertex
+    points at its root, and drops the edges whose ends now share a root.
+    Parents only ever point down, so every root ends as its component's
+    smallest vertex. A root that survives two rounds has absorbed all of its
+    neighbours, so every two rounds at least halve the roots of each
+    component: at most ~2 log2(n) rounds (4-5 on configuration graphs at
+    n = 10^5-10^6, 12-13 on randomly labelled paths of 10^6 vertices).
+    """
+    n = graph.n
+    lo, hi = graph.edges[:, 0], graph.edges[:, 1]
+    apart = lo != hi
+    lo, hi = lo[apart], hi[apart]
+    parent = np.arange(n)
+    while lo.size:
+        np.minimum.at(parent, hi, lo)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        lo, hi = parent[lo], parent[hi]
+        apart = lo != hi
+        lo, hi = lo[apart], hi[apart]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    # Roots are the smallest vertices of their components, so numbering the
+    # roots in vertex order numbers components by their smallest vertex, and
+    # a stable sort by size breaks ties by the smallest vertex.
+    labels = (np.cumsum(parent == np.arange(n)) - 1)[parent]
     label_sizes = np.bincount(labels)
-    # scipy numbers components in order of their smallest vertex, so a
-    # stable sort by size breaks ties by the smallest vertex.
     order = np.argsort(-label_sizes, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -179,15 +206,16 @@ def property_counts(graph: MultiGraph, prop: LocalProperty) -> tuple[int, int]:
 def _within_distance(graph: MultiGraph, sources: np.ndarray, t: int) -> np.ndarray:
     """Vertices within graph distance <= t of any source (multi-source BFS).
 
-    Each step is one product with the boolean pair matrix and one with its
-    transpose, in which products are ANDs and sums ORs; a step that reaches
-    nothing new ends it.
+    Each step marks both ends of every edge row with a reached end (a loop
+    marks its own, already reached, vertex); a step that reaches nothing new
+    ends it.
     """
-    upper = graph.pair_csr()
-    lower = upper.T
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
     reached = sources.copy()
     for _ in range(t):
-        grown = reached | (upper @ reached) | (lower @ reached)
+        grown = reached.copy()
+        grown[u[reached[v]]] = True
+        grown[v[reached[u]]] = True
         if np.array_equal(grown, reached):
             break
         reached = grown

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .distributions import Distribution, mean, sample
 from .errors import Exhausted, SamePair, SpecParseError
@@ -110,7 +109,7 @@ class MultiGraph:
     is never mutated; derived adjacency structures are cached lazily.
     """
 
-    __slots__ = ("n", "edges", "_pairs", "_adj", "_inc")
+    __slots__ = ("n", "edges", "_adj", "_inc")
 
     def __init__(self, n: int, edges):
         self.n = int(n)
@@ -122,7 +121,6 @@ class MultiGraph:
         np.maximum(arr[:, 0], arr[:, 1], out=ordered[:, 1])
         ordered.setflags(write=False)
         self.edges = ordered
-        self._pairs = None
         self._adj = None
         self._inc = None
 
@@ -137,15 +135,18 @@ class MultiGraph:
     def degree_sequence(self) -> DegreeSequence:
         return DegreeSequence(self.degrees())
 
-    def pair_csr(self):
-        """Boolean n x n CSR matrix with one True at (u, v) for each distinct
-        non-loop pair u < v; its indices are sorted and hold no repeats.
+    def adjacency_csr(self):
+        """Boolean n x n CSR matrix: row v's ``indices`` are v's distinct
+        neighbours (parallel edges merge; loops are invisible to distance).
 
-        Built from the sorted pair keys u*n + v, so it needs no COO
-        conversion and no duplicate merge; ``components`` and the ball BFS
-        read it, and ``adjacency_csr`` is it plus its transpose.
+        Its upper triangle is built from the sorted pair keys u*n + v of the
+        non-loop rows, so it needs no COO conversion and no duplicate merge.
         """
-        if self._pairs is None:
+        if self._adj is None:
+            # scipy.sparse is imported here, not at module level: no CLI
+            # command reads a sparse matrix, and it adds ~90 ms to import.
+            from scipy.sparse import csr_matrix
+
             n = self.n
             u, v = self.edges[:, 0], self.edges[:, 1]
             keys = (u * n + v)[u != v]
@@ -157,20 +158,15 @@ class MultiGraph:
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
             data = np.ones(keys.size, dtype=bool)
-            self._pairs = csr_matrix((data, keys % n, indptr), shape=(n, n))
-        return self._pairs
-
-    def adjacency_csr(self):
-        """Boolean n x n CSR matrix: row v's ``indices`` are v's distinct
-        neighbours (parallel edges merge; loops are invisible to distance)."""
-        if self._adj is None:
-            upper = self.pair_csr()
+            upper = csr_matrix((data, keys % n, indptr), shape=(n, n))
             self._adj = upper + upper.T
         return self._adj
 
     def incidence_csr(self):
         """Boolean n x m CSR matrix: row v's ``indices`` are v's edge ids, a loop's once."""
         if self._inc is None:
+            from scipy.sparse import csr_matrix
+
             m = self.num_edges
             ends = (self.edges.ravel(), np.repeat(np.arange(m), 2))
             self._inc = csr_matrix((np.ones(2 * m, dtype=bool), ends), shape=(self.n, m))

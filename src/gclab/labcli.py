@@ -421,12 +421,19 @@ _POSITIVE_FLAGS = ("n", "trials", "kmax", "max_attempts")
 
 
 def _check_flags(args) -> None:
-    """Refuse sizes below 1 and negative seeds before any work starts."""
+    """Refuse sizes below 1, a --kmax past MAX_COMPONENT_SIZE (the
+    small-component series is quadratic in it) and negative seeds before
+    any work starts."""
     for name in _POSITIVE_FLAGS:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             flag = "--" + name.replace("_", "-")
             raise SpecParseError(f"{flag} must be >= 1, got {value}")
+    kmax = getattr(args, "kmax", None)
+    if kmax is not None and kmax > branching.MAX_COMPONENT_SIZE:
+        raise SpecParseError(
+            f"--kmax must be <= MAX_COMPONENT_SIZE = {branching.MAX_COMPONENT_SIZE}, got {kmax}"
+        )
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise SpecParseError(f"--seed must be >= 0, got {seed}")

@@ -3,11 +3,16 @@ parallel edges; networkx shares no code with the numpy/scipy paths."""
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import triu
 
 from gclab.census import MaxDegreeBall, components, property_mask
-from gclab.configuration import MultiGraph, is_simple
+from gclab.configuration import MultiGraph, is_simple, sample_degree_sequence, sample_pairing, to_multigraph
+from gclab.distributions import Distribution
+
+from helpers import neighborhood
 
 
 @st.composite
@@ -60,24 +65,27 @@ def test_edges_are_stored_as_sorted_rows(case):
 
 @given(multigraphs())
 def test_pair_csr_holds_each_distinct_pair_once(graph):
-    upper = graph.pair_csr()
+    # The adjacency's upper triangle is the set of distinct non-loop pairs.
+    adj = graph.adjacency_csr()
+    upper = triu(adj, format="csr")
     expected = sorted((min(u, v), max(u, v)) for u, v in nx.Graph(to_networkx(graph)).edges() if u != v)
     stored = upper.tocoo()
     assert upper.shape == (graph.n, graph.n) and upper.dtype == bool
     assert sorted(zip(stored.row.tolist(), stored.col.tolist())) == expected
     assert bool(upper.data.all())
-    assert upper.has_canonical_format
+    assert adj.has_canonical_format
     assert bool((stored.row < stored.col).all())
-    assert graph.pair_csr() is upper
-    assert (graph.adjacency_csr() != upper + upper.T).nnz == 0
+    assert graph.adjacency_csr() is adj
+    assert (adj != upper + upper.T).nnz == 0
 
 
 def test_pair_csr_of_graphs_without_pairs():
     for graph in (MultiGraph(3, []), MultiGraph(3, [[0, 0], [2, 2], [2, 2]])):
-        upper = graph.pair_csr()
-        assert upper.shape == (3, 3) and upper.nnz == 0 and upper.has_canonical_format
-        assert upper.indptr.tolist() == [0, 0, 0, 0]
-        assert graph.adjacency_csr().nnz == 0
+        adj = graph.adjacency_csr()
+        upper = triu(adj, format="csr")
+        assert upper.shape == (3, 3) and upper.nnz == 0 and adj.has_canonical_format
+        assert adj.indptr.tolist() == [0, 0, 0, 0]
+        assert adj.nnz == 0
         assert components(graph).sizes.tolist() == [1, 1, 1]
 
 
@@ -92,6 +100,58 @@ def test_components_match_networkx(graph):
         assert set(np.flatnonzero(cen.component_id == label).tolist()) == comp
     holds_zero = next(c for c in expected if 0 in c)
     assert (cen.component_id[0] == 0) == (len(holds_zero) == cen.largest)
+
+
+def networkx_census(graph: MultiGraph) -> tuple[list[int], np.ndarray]:
+    """Sizes and vertex labels numbered as ``components`` numbers them."""
+    expected = sorted(nx.connected_components(to_networkx(graph)), key=lambda c: (-len(c), min(c)))
+    labels = np.empty(graph.n, dtype=np.int64)
+    for label, comp in enumerate(expected):
+        labels[list(comp)] = label
+    return [len(c) for c in expected], labels
+
+
+def _random_path(rng):
+    n = 10_000
+    labels = rng.permutation(n)
+    return MultiGraph(n, np.column_stack([labels[:-1], labels[1:]]))
+
+
+def _star_with_largest_centre(rng):
+    n = 1000
+    return MultiGraph(n, [[leaf, n - 1] for leaf in rng.permutation(n - 1).tolist()])
+
+
+def _interleaved_cycles(rng):
+    # Evens on one cycle, odds on the other, each in random order: the two
+    # equal sizes tie, and the cycle holding vertex 0 must come first.
+    edges = []
+    for start in (0, 1):
+        cycle = rng.permutation(np.arange(start, 10_000, 2))
+        edges.append(np.column_stack([cycle, np.roll(cycle, -1)]))
+    return MultiGraph(10_000, np.concatenate(edges))
+
+
+ADVERSARIAL_GRAPHS = {
+    "random_path": _random_path,
+    "star_with_largest_centre": _star_with_largest_centre,
+    "interleaved_cycles": _interleaved_cycles,
+    "parallel_edges_and_loops_only": lambda rng: MultiGraph(
+        7, [[0, 0], [2, 1], [1, 2], [1, 2], [3, 3], [3, 3], [6, 4], [4, 6], [5, 5]]
+    ),
+    "one_vertex": lambda rng: MultiGraph(1, []),
+    "one_vertex_with_loops": lambda rng: MultiGraph(1, [[0, 0], [0, 0]]),
+    "zero_edges": lambda rng: MultiGraph(5, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_GRAPHS))
+def test_components_match_networkx_on_adversarial_graphs(name):
+    graph = ADVERSARIAL_GRAPHS[name](np.random.default_rng(1982))
+    sizes, labels = networkx_census(graph)
+    cen = components(graph)
+    assert cen.sizes.tolist() == sizes
+    assert np.array_equal(cen.component_id, labels)
 
 
 @given(multigraphs())
@@ -114,3 +174,18 @@ def test_max_degree_ball_matches_networkx(graph):
                 ball = nx.single_source_shortest_path_length(g, v, cutoff=t)
                 expected = all(g.degree(u) <= delta for u in ball)
                 assert bool(mask[v]) == expected, (delta, t, v, graph.edges.tolist())
+
+
+def test_max_degree_ball_on_a_configuration_graph_matches_neighborhoods():
+    law = Distribution([(1, 0.45), (2, 0.2), (3, 0.25), (5, 0.1)])
+    rng = np.random.default_rng(8)  # two loops and two repeated pairs
+    graph = to_multigraph(sample_pairing(sample_degree_sequence(law, 2000, rng), rng))
+    loops = graph.edges[:, 0] == graph.edges[:, 1]
+    assert loops.any() and not is_simple(MultiGraph(graph.n, graph.edges[~loops]))
+    degrees = graph.degrees()
+    balls = [neighborhood(graph, v, 5) for v in range(graph.n)]
+    for t in range(6):
+        heaviest = np.array([degrees[ball.vertices[ball.distances <= t]].max() for ball in balls])
+        for delta in range(1, 7):
+            mask = property_mask(graph, MaxDegreeBall(delta, t))
+            assert np.array_equal(mask, heaviest <= delta), (delta, t)

@@ -413,6 +413,17 @@ def test_exit_code_on_out_of_range_flags(mixture_spec, capsys, argv):
     assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["giant", "--n", "200", "--trials", "1"]])
+def test_kmax_is_capped_at_the_component_size_cap(mixture_spec, capsys, argv):
+    cap = branching.MAX_COMPONENT_SIZE
+    assert labcli.main(argv + ["--dist", mixture_spec, "--kmax", str(cap)]) == 0
+    assert capsys.readouterr().err == ""
+    assert labcli.main(argv + ["--dist", mixture_spec, "--kmax", str(cap + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --kmax") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
