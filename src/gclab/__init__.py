@@ -42,6 +42,7 @@ from .configuration import (
     is_simple,
     load_degree_sequence,
     sample_degree_sequence,
+    sample_multigraph,
     sample_pairing,
     sample_simple,
     save_degree_sequence,

@@ -84,25 +84,35 @@ def components(graph: MultiGraph) -> ComponentCensus:
     n = 10^5-10^6, 12-13 on randomly labelled paths of 10^6 vertices).
     """
     n = graph.n
+    # At most four n- or m-sized arrays are live at once. The first round
+    # reads the edge columns as they are: rows are (min, max), and a loop
+    # hooks its vertex to itself, which changes nothing.
     lo, hi = graph.edges[:, 0], graph.edges[:, 1]
-    apart = lo != hi
-    lo, hi = lo[apart], hi[apart]
     parent = np.arange(n)
     while lo.size:
         np.minimum.at(parent, hi, lo)
         while True:
             jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
+            done = np.array_equal(jumped, parent)
             parent = jumped
-        lo, hi = parent[lo], parent[hi]
+            if done:
+                break
+        lo = parent[lo]
+        hi = parent[hi]
         apart = lo != hi
-        lo, hi = lo[apart], hi[apart]
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        lo = lo[apart]
+        hi = hi[apart]
+        del apart
+        smaller = np.minimum(lo, hi)
+        np.maximum(lo, hi, out=hi)
+        lo = smaller
     # Roots are the smallest vertices of their components, so numbering the
     # roots in vertex order numbers components by their smallest vertex, and
     # a stable sort by size breaks ties by the smallest vertex.
-    labels = (np.cumsum(parent == np.arange(n)) - 1)[parent]
+    root_number = np.cumsum(parent == np.arange(n))
+    root_number -= 1
+    labels = root_number[parent]
+    del parent, root_number
     label_sizes = np.bincount(labels)
     order = np.argsort(-label_sizes, kind="stable")
     rank = np.empty_like(order)
@@ -183,10 +193,12 @@ def property_mask(
         return mask
     if isinstance(prop, (ComponentSizeExactly, ComponentSizeAtLeast)):
         census = census if census is not None else components(graph)
-        sizes = census.sizes[census.component_id]
+        # Decide per component, then gather bools, not int64 sizes.
         if isinstance(prop, ComponentSizeExactly):
-            return sizes == prop.k
-        return sizes >= prop.k
+            holds = census.sizes == prop.k
+        else:
+            holds = census.sizes >= prop.k
+        return holds[census.component_id]
     if isinstance(prop, RootDegree):
         return graph.degrees() == prop.d
     if isinstance(prop, MaxDegreeBall):

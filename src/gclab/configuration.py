@@ -17,11 +17,13 @@ from .errors import Exhausted, SamePair, SpecParseError
 
 # Largest n + n*E(D), vertices plus expected stubs, that
 # sample_degree_sequence draws for. Peak memory of one giant, sweep or
-# local-census run grows by about 40 bytes per vertex or stub: on
-# {1: 1/2, 99: 1/2} each peaked 152 MB higher at n = 120000 than at
-# n = 40000 (4.1e6 more elements), on {1: 1/2, 3: 1/2} 31 bytes per element
-# (2-core x86 host, numpy 2.4, scipy 1.17). The cap holds a run near 2 GB,
-# and keeps the pair keys u*n + v below 2.5e15, far from int64 overflow.
+# local-census run grows by at most about 24 bytes per vertex or stub: on
+# {1: 1/2, 99: 1/2} giant and local-census peaked 91 MB higher at
+# n = 120000 than at n = 40000 (4.08e6 more elements, 23 bytes each) and
+# sweep 19 bytes each; on {1: 1/2, 3: 1/2} from n = 10^6 to 3*10^6 giant
+# and local-census took 17 bytes per element and sweep 24 (2-core x86
+# host, numpy 2.4). The cap holds a run near 1.2 GB, and keeps the pair
+# keys u*n + v below 2.5e15, far from int64 overflow.
 MAX_GRAPH_ELEMENTS = 5 * 10**7
 
 
@@ -130,7 +132,11 @@ class MultiGraph:
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees; each loop contributes 2 to its endpoint."""
-        return np.bincount(self.edges.ravel(), minlength=self.n)
+        # Not np.bincount: numpy 2.4 copies a read-only input first, and the
+        # edge array is frozen, so it would allocate a second edge array.
+        counts = np.zeros(self.n, dtype=np.int64)
+        np.add.at(counts, self.edges.ravel(), 1)
+        return counts
 
     def degree_sequence(self) -> DegreeSequence:
         return DegreeSequence(self.degrees())
@@ -240,9 +246,21 @@ def sample_pairing(ds: DegreeSequence, rng: np.random.Generator) -> Pairing:
 
 def to_multigraph(pairing: Pairing) -> MultiGraph:
     """Contract each stub pair to an edge between the owning vertices."""
-    u = pairing.owner[pairing.pairs[:, 0]]
-    v = pairing.owner[pairing.pairs[:, 1]]
-    return MultiGraph(pairing.n_vertices, np.column_stack([u, v]))
+    return MultiGraph(pairing.n_vertices, pairing.owner[pairing.pairs])
+
+
+def sample_multigraph(ds: DegreeSequence, rng: np.random.Generator) -> MultiGraph:
+    """The multigraph of a uniform pairing of ds's stubs, in one shuffle.
+
+    Shuffling the stub owners makes the same swaps as the ``permutation``
+    in ``sample_pairing``, so this returns the edges of
+    ``to_multigraph(sample_pairing(ds, rng))`` and leaves ``rng`` in the
+    same state, without the stub permutation and its two gathers. Use
+    ``sample_pairing`` where stub identities matter (switchings).
+    """
+    owner = np.repeat(np.arange(len(ds), dtype=np.int64), ds.degrees)
+    rng.shuffle(owner)
+    return MultiGraph(len(ds), owner.reshape(-1, 2))
 
 
 def apply_switching(pairing: Pairing, pair1_index: int, pair2_index: int) -> Pairing:
@@ -288,7 +306,7 @@ def sample_simple(ds: DegreeSequence, rng: np.random.Generator, max_attempts: in
     if max_attempts < 1:
         raise ValueError("need max_attempts >= 1")
     for _ in range(max_attempts):
-        graph = to_multigraph(sample_pairing(ds, rng))
+        graph = sample_multigraph(ds, rng)
         if is_simple(graph):
             return graph
     raise Exhausted(max_attempts)

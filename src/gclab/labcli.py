@@ -184,7 +184,7 @@ def cmd_giant(
         if simple:
             graph = configuration.sample_simple(ds, rng, max_attempts)
         else:
-            graph = configuration.to_multigraph(configuration.sample_pairing(ds, rng))
+            graph = configuration.sample_multigraph(ds, rng)
         cen = census.components(graph)
         observed = {
             "L1_over_n": cen.largest / n,
@@ -233,7 +233,7 @@ def cmd_percolation_sweep(
     for trial in range(trials):
         rng_graph = trial_rng(seed, trial)
         ds = configuration.sample_degree_sequence(dist, n, rng_graph)
-        graph = configuration.to_multigraph(configuration.sample_pairing(ds, rng_graph))
+        graph = configuration.sample_multigraph(ds, rng_graph)
         for index, p in enumerate(p_grid):
             red_graph = percolation.percolate(graph, p, trial_rng(seed, trial, 1 + index))
             cen = census.components(red_graph)
@@ -283,8 +283,11 @@ def cmd_local_census(
         except DegenerateDistribution:
             pass
     rng_graph = trial_rng(seed, 0)
+    # Drop the degree sequence: the census, the op's memory peak, then runs
+    # beside the graph alone.
     ds = configuration.sample_degree_sequence(dist, n, rng_graph)
-    graph = configuration.to_multigraph(configuration.sample_pairing(ds, rng_graph))
+    graph = configuration.sample_multigraph(ds, rng_graph)
+    del ds
     whole, giant = census.property_counts(graph, prop)
     return ExperimentRecord(
         experiment="local-census",

@@ -13,6 +13,7 @@ from gclab.configuration import (
     is_simple,
     load_degree_sequence,
     sample_degree_sequence,
+    sample_multigraph,
     sample_pairing,
     sample_simple,
     save_degree_sequence,
@@ -207,6 +208,41 @@ def test_degree_preservation(rng):
         g = to_multigraph(sample_pairing(ds, rng))
         np.testing.assert_array_equal(g.degrees(), ds.degrees)
         assert g.num_edges == ds.size
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [
+        pytest.param([0, 3, 0, 1, 2, 0], id="degree-0-vertices"),
+        pytest.param([0, 0, 0], id="no-edges"),
+        pytest.param([2], id="single-loop"),
+        pytest.param([1, 3, 0] * 400, id="mixture-1200"),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_multigraph_is_the_pairing_graph(degrees, seed):
+    # One shuffle of the stub owners must make the pairing's swaps: the same
+    # edges, row for row, and the same generator state afterwards.
+    ds = DegreeSequence(degrees)
+    shuffled, paired = np.random.default_rng(seed), np.random.default_rng(seed)
+    graph = sample_multigraph(ds, shuffled)
+    np.testing.assert_array_equal(graph.edges, to_multigraph(sample_pairing(ds, paired)).edges)
+    assert graph.n == len(ds)
+    assert shuffled.integers(2**62) == paired.integers(2**62)
+
+
+def test_sample_simple_is_pairing_rejection():
+    # sample_simple draws through sample_multigraph; seeded, it must return
+    # the graph the rejection loop over sample_pairing returns.
+    ds = DegreeSequence([3] * 60)
+    for seed in range(5):
+        direct, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        graph = sample_simple(ds, direct, max_attempts=200)
+        expected = to_multigraph(sample_pairing(ds, reference))
+        while not is_simple(expected):
+            expected = to_multigraph(sample_pairing(ds, reference))
+        np.testing.assert_array_equal(graph.edges, expected.edges)
+        assert direct.integers(2**62) == reference.integers(2**62)
 
 
 # ---------------------------------------------------------------------------
