@@ -67,7 +67,6 @@ from .errors import (
     DegenerateDistribution,
     Exhausted,
     GCLabError,
-    InsufficientRadius,
     NoThreshold,
     SamePair,
     SpecParseError,

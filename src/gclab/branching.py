@@ -82,11 +82,6 @@ class ProgenyTable:
     rho_k: np.ndarray
     tail: float
 
-    def prob_size(self, k: int) -> float:
-        if not (1 <= k <= self.k_max):
-            raise ValueError(f"k must be in 1..{self.k_max}")
-        return float(self.rho_k[k - 1])
-
 
 def solve_x_plus(dist: Distribution) -> SurvivalSolution:
     """Largest root in [0, 1] of the one-stage survival equation.

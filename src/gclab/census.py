@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configuration import MultiGraph
-from .errors import UnboundedRadius
 
 
 class ComponentCensus:
@@ -31,10 +30,6 @@ class ComponentCensus:
     def __init__(self, sizes: np.ndarray, component_id: np.ndarray):
         self.sizes = sizes
         self.component_id = component_id
-
-    @property
-    def n(self) -> int:
-        return int(self.component_id.size)
 
     @property
     def largest(self) -> int:
@@ -56,18 +51,6 @@ class ComponentCensus:
 
     def giant_mask(self) -> np.ndarray:
         return self.component_id == 0
-
-    def size_counts(self) -> dict[int, int]:
-        values, counts = np.unique(self.sizes, return_counts=True)
-        return {int(v): int(v * c) for v, c in zip(values, counts)}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sizes": self.sizes.tolist(),
-            "N_k": {str(k): v for k, v in sorted(self.size_counts().items())},
-            "L1": self.largest,
-            "L2": self.second_largest,
-        }
 
 
 def components(graph: MultiGraph) -> ComponentCensus:
@@ -123,36 +106,20 @@ def components(graph: MultiGraph) -> ComponentCensus:
 class LocalProperty:
     """Rooted-graph predicate decided by a finite-radius ball around the root."""
 
-    @property
-    def radius(self) -> int:
-        raise UnboundedRadius(f"{type(self).__name__} declares no finite radius")
-
 
 @dataclass(frozen=True)
 class ComponentSizeExactly(LocalProperty):
     k: int
-
-    @property
-    def radius(self) -> int:
-        return self.k
 
 
 @dataclass(frozen=True)
 class ComponentSizeAtLeast(LocalProperty):
     k: int
 
-    @property
-    def radius(self) -> int:
-        return max(self.k - 1, 0)
-
 
 @dataclass(frozen=True)
 class RootDegree(LocalProperty):
     d: int
-
-    @property
-    def radius(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -166,18 +133,10 @@ class MaxDegreeBall(LocalProperty):
         if self.t < 0:
             raise ValueError(f"ball radius must be >= 0, got {self.t}")
 
-    @property
-    def radius(self) -> int:
-        return self.t + 1
-
 
 @dataclass(frozen=True)
 class Conjunction(LocalProperty):
     parts: tuple[LocalProperty, ...]
-
-    @property
-    def radius(self) -> int:
-        return max((p.radius for p in self.parts), default=0)
 
 
 def property_mask(

@@ -196,7 +196,11 @@ def conf_distance(ds: DegreeSequence, dist: Distribution) -> float:
     """
     n = len(ds)
     width = max(int(ds.max_degree), dist.max_support) + 1
-    empirical = np.bincount(ds.degrees, minlength=width).astype(np.float64) / n
+    # Not np.bincount: the degrees are frozen, and numpy 2.4 copies a
+    # read-only input first (see MultiGraph.degrees).
+    counts = np.zeros(width, dtype=np.int64)
+    np.add.at(counts, ds.degrees, 1)
+    empirical = counts / n
     target = dist.dense(width)
     i = np.arange(width, dtype=np.float64)
     d0 = float(np.abs(i * empirical - i * target).sum())

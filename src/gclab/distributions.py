@@ -102,12 +102,6 @@ class Distribution:
     def max_support(self) -> int:
         return int(self.support[-1])
 
-    def pmf(self, value: int) -> float:
-        idx = np.searchsorted(self.support, value)
-        if idx < len(self.support) and self.support[idx] == value:
-            return float(self.probs[idx])
-        return 0.0
-
     def dense(self, length: int | None = None) -> np.ndarray:
         """Probability vector indexed by value, length max_support+1 by default."""
         if length is None:
@@ -182,20 +176,15 @@ def supercriticality(dist: Distribution) -> float:
     return float(np.dot(s * (s - 2.0), dist.probs))
 
 
-def sample(dist: Distribution, rng: np.random.Generator, size=None):
-    """Draw from the distribution; deterministic given the generator state.
-
-    Returns a plain int when ``size`` is None, else an int64 array.
-    """
+def sample(dist: Distribution, rng: np.random.Generator, size) -> np.ndarray:
+    """Draw ``size`` values as an int64 array; deterministic given the
+    generator state. ``size`` is required: there is no scalar draw."""
     if dist._cdf is None:
         cdf = np.cumsum(dist.probs)
         cdf[-1] = 1.0
         dist._cdf = cdf
     idx = np.searchsorted(dist._cdf, rng.random(size), side="right")
-    values = dist.support[idx]
-    if size is None:
-        return int(values)
-    return values
+    return dist.support[idx]
 
 
 def from_json_doc(doc) -> Distribution:

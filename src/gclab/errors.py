@@ -40,11 +40,8 @@ class Exhausted(GCLabError):
 
 
 class UnboundedRadius(GCLabError):
-    """The property declares no finite radius, so it cannot be evaluated."""
-
-
-class InsufficientRadius(GCLabError):
-    """The neighborhood is too shallow to decide the property."""
+    """A property spec asks about infinite components, which no finite ball
+    decides; only the property spec parser raises it."""
 
 
 class SpecParseError(GCLabError):

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,14 +58,6 @@ class ExperimentRecord:
     params: dict
     observed: dict
     predicted: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "observed": self.observed,
-            "predicted": self.predicted,
-        }
 
 
 def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -348,7 +340,7 @@ def records_to_csv(records: list[ExperimentRecord]) -> str:
 
 
 def records_to_json(records: list[ExperimentRecord]) -> str:
-    return json.dumps([r.to_json_dict() for r in records], sort_keys=True, indent=2) + "\n"
+    return json.dumps([asdict(r) for r in records], sort_keys=True, indent=2) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -6,7 +6,9 @@ and from a forest convolution recursion, limit-tree property probabilities
 from a seeded Monte Carlo over sampled trees, survival probabilities from
 polynomial root finding, matching laws from recursive enumeration of perfect
 matchings, and local properties from one BFS ball per vertex decided by
-looking at the ball alone.
+looking at the ball alone. ``radius`` gives the depth of ball that decides
+each property; the tree Monte Carlo cuts its trees there, and the ball
+oracle refuses a shallower ball with ``InsufficientRadius``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from gclab.census import (
 )
 from gclab.configuration import DegreeSequence, MultiGraph
 from gclab.distributions import Distribution, mean, offspring, sample, supercriticality
-from gclab.errors import InsufficientRadius
 
 DEFAULT_CAP = 10**4
 
@@ -286,12 +287,12 @@ def tree_property_probability(
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
-    radius = prop.radius  # raises UnboundedRadius for radius-free properties
-    per_forest = _roots_per_forest(dist, radius)
+    depth = radius(prop)
+    per_forest = _roots_per_forest(dist, depth)
     hits = 0
     for start in range(0, samples, per_forest):
         roots = min(per_forest, samples - start)
-        forest = sample_tree_forest(dist, roots, rng, radius)
+        forest = sample_tree_forest(dist, roots, rng, depth)
         hits += int(np.count_nonzero(property_mask(forest, prop)[:roots]))
     estimate = hits / samples
     half_width = 1.96 * float(np.sqrt(estimate * (1.0 - estimate) / samples))
@@ -300,6 +301,25 @@ def tree_property_probability(
 
 # ---------------------------------------------------------------------------
 # per-vertex local property oracle
+
+
+class InsufficientRadius(Exception):
+    """The neighborhood is too shallow to decide the property."""
+
+
+def radius(prop: LocalProperty) -> int:
+    """Depth of ball around the root that decides prop (see evaluate_property)."""
+    if isinstance(prop, Conjunction):
+        return max((radius(p) for p in prop.parts), default=0)
+    if isinstance(prop, ComponentSizeExactly):
+        return prop.k
+    if isinstance(prop, ComponentSizeAtLeast):
+        return max(prop.k - 1, 0)
+    if isinstance(prop, RootDegree):
+        return 1
+    if isinstance(prop, MaxDegreeBall):
+        return prop.t + 1
+    raise TypeError(f"unknown property kind {type(prop).__name__}")
 
 
 @dataclass(eq=False)
@@ -379,9 +399,9 @@ def evaluate_property(nbhd: RootedNeighborhood, prop: LocalProperty) -> bool:
     """
     if isinstance(prop, Conjunction):
         return all(evaluate_property(nbhd, part) for part in prop.parts)
-    if nbhd.depth < prop.radius:
+    if nbhd.depth < radius(prop):
         raise InsufficientRadius(
-            f"property needs radius {prop.radius}, neighborhood has depth {nbhd.depth}"
+            f"property needs radius {radius(prop)}, neighborhood has depth {nbhd.depth}"
         )
     if isinstance(prop, ComponentSizeExactly):
         return nbhd.size == prop.k

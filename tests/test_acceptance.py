@@ -163,7 +163,7 @@ def test_oracle_equivalence(mixture):
     worst_z = 0.0
     hist_ok = True
     for k in range(1, 21):
-        p_k = table.prob_size(k)
+        p_k = table.rho_k[k - 1]
         observed = float((sizes == k).mean())
         if p_k == 0.0:
             hist_ok = hist_ok and observed == 0.0

@@ -220,8 +220,8 @@ def test_rho_k_all_infinite(regular3):
 
 def test_rho_k_mixture_hand_values(mixture):
     table = rho_k_table(mixture, 6)
-    assert table.prob_size(1) == 0.0
-    assert table.prob_size(2) == pytest.approx(1 / 8, abs=1e-15)
+    assert table.rho_k[0] == 0.0
+    assert table.rho_k[1] == pytest.approx(1 / 8, abs=1e-15)
     np.testing.assert_allclose(table.rho_k, enumerate_tree_size_probs(mixture, 6), atol=1e-12)
 
 
@@ -326,7 +326,7 @@ def test_sample_tree_sizes_matches_table(mixture):
     assert float((sizes == 2).mean()) == pytest.approx(1 / 8, abs=0.004)
     table = rho_k_table(mixture, 20)
     for k in range(1, 21):
-        p_k = table.prob_size(k)
+        p_k = table.rho_k[k - 1]
         se = np.sqrt(p_k * (1 - p_k) / n)
         assert abs(float((sizes == k).mean()) - p_k) <= 4 * se
 
@@ -410,7 +410,7 @@ def test_tree_probability_component_sizes_match_table(mixture):
     for k in range(1, 6):
         rng = np.random.default_rng(100 + k)
         est, _ = tree_property_probability(mixture, ComponentSizeExactly(k), samples, rng)
-        p_k = table.prob_size(k)
+        p_k = table.rho_k[k - 1]
         assert abs(est - p_k) <= 4 * np.sqrt(p_k * (1 - p_k) / samples)
 
 

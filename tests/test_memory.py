@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gclab.census import components, property_mask
-from gclab.configuration import sample_degree_sequence, sample_multigraph
+from gclab.configuration import conf_distance, sample_degree_sequence, sample_multigraph
 from gclab.labcli import parse_property_spec
 
 
@@ -42,6 +42,13 @@ def test_degrees_allocates_only_its_output(graph):
     # read-only edge array: E more.
     peak, degrees = traced_peak(graph.degrees)
     assert peak <= degrees.nbytes + 64 * 1024
+
+
+def test_conf_distance_allocates_only_its_counts(degree_sequence, mixture):
+    # Measured: 5.5 KB; its counts are four entries wide. bincount would
+    # first copy the read-only degrees: 800 KB.
+    peak, _ = traced_peak(lambda: conf_distance(degree_sequence, mixture))
+    assert peak <= 64 * 1024
 
 
 def test_sample_multigraph_peak(degree_sequence):
