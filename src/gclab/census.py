@@ -57,50 +57,79 @@ def components(graph: MultiGraph) -> ComponentCensus:
     """Exact component decomposition; loops are ignored for connectivity.
 
     Min-label hooking with pointer jumping (Shiloach and Vishkin 1982) over
-    the edge rows, in whole-array rounds. Each round hooks every root to the
-    smallest root it shares an edge with, jumps pointers until each vertex
-    points at its root, and drops the edges whose ends now share a root.
-    Parents only ever point down, so every root ends as its component's
-    smallest vertex. A root that survives two rounds has absorbed all of its
-    neighbours, so every two rounds at least halve the roots of each
-    component: at most ~2 log2(n) rounds (4-5 on configuration graphs at
-    n = 10^5-10^6, 12-13 on randomly labelled paths of 10^6 vertices).
+    the edge rows. Each round hooks every root to the smallest root it
+    shares an edge with, jumps pointers, re-reads each edge's ends as their
+    roots and drops the edges whose ends now share a root. Parents only ever
+    point down, so every root ends as its component's smallest vertex. A
+    root that survives two rounds has absorbed all of its neighbours, so
+    every two rounds at least halve the roots of each component: at most
+    ~2 log2(n) rounds (4-5 on configuration graphs at n = 10^5-10^6, 12-13
+    on randomly labelled paths of 10^6 vertices).
+
+    The first round hooks along every edge and flattens the whole array.
+    Later rounds touch only the live roots, the ends of the edges that are
+    left. Only live roots are hooked, and only onto live roots, so every
+    pointer chain that starts at a live root stays among the live roots,
+    and jumping over those alone makes each of them point at its root.
+    Other vertices may then point at a root that has since been hooked, so
+    one whole-array flatten after the last round finishes the job. The
+    components are numbered by their roots: a stable sort of the roots, in
+    vertex order, by size.
     """
     n = graph.n
-    # At most four n- or m-sized arrays are live at once. The first round
-    # reads the edge columns as they are: rows are (min, max), and a loop
-    # hooks its vertex to itself, which changes nothing.
+    # The first round reads the edge columns as they are: rows are
+    # (min, max), and a loop hooks its vertex to itself, which changes nothing.
     lo, hi = graph.edges[:, 0], graph.edges[:, 1]
     parent = np.arange(n)
-    while lo.size:
-        np.minimum.at(parent, hi, lo)
-        while True:
-            jumped = parent[parent]
-            done = np.array_equal(jumped, parent)
-            parent = jumped
-            if done:
-                break
+    np.minimum.at(parent, hi, lo)
+    parent = _flatten(parent)
+    while True:
         lo = parent[lo]
         hi = parent[hi]
         apart = lo != hi
         lo = lo[apart]
         hi = hi[apart]
         del apart
+        if not lo.size:
+            break
         smaller = np.minimum(lo, hi)
         np.maximum(lo, hi, out=hi)
         lo = smaller
-    # Roots are the smallest vertices of their components, so numbering the
-    # roots in vertex order numbers components by their smallest vertex, and
-    # a stable sort by size breaks ties by the smallest vertex.
-    root_number = np.cumsum(parent == np.arange(n))
-    root_number -= 1
-    labels = root_number[parent]
-    del parent, root_number
-    label_sizes = np.bincount(labels)
-    order = np.argsort(-label_sizes, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return ComponentCensus(label_sizes[order], rank[labels])
+        live = np.zeros(n, dtype=bool)
+        live[lo] = True
+        live[hi] = True
+        live = np.flatnonzero(live)
+        np.minimum.at(parent, hi, lo)
+        up = parent[live]
+        while True:
+            upup = parent[up]
+            if np.array_equal(upup, up):
+                break
+            parent[live] = upup
+            up = upup
+        del live, up, upup
+    parent = _flatten(parent)
+    # Roots are the smallest vertices of their components, and a stable sort
+    # of the roots (in vertex order) by size breaks ties by that vertex.
+    roots = np.flatnonzero(parent == np.arange(n))
+    sizes = np.bincount(parent, minlength=n)[roots]
+    order = np.argsort(-sizes, kind="stable")
+    sizes = sizes[order]
+    roots = roots[order]
+    del order
+    rank = np.empty(n, dtype=np.int64)
+    rank[roots] = np.arange(roots.size)
+    del roots
+    return ComponentCensus(sizes, rank[parent])
+
+
+def _flatten(parent: np.ndarray) -> np.ndarray:
+    """Jump pointers over the whole array until each vertex points at a root."""
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            return jumped
+        parent = jumped
 
 
 class LocalProperty:

@@ -132,8 +132,34 @@ def _interleaved_cycles(rng):
     return MultiGraph(10_000, np.concatenate(edges))
 
 
+def _isolated_vertices_around_a_path(rng):
+    # The other 9000 vertices are finished roots from the start; the path's
+    # roots stay live for about six rounds after the first.
+    n = 10_000
+    path = rng.choice(n, size=1000, replace=False)
+    return MultiGraph(n, np.column_stack([path[:-1], path[1:]]))
+
+
+def _short_cycles_beside_a_long_one(rng):
+    # Each triangle is finished after the first round, where both of its
+    # larger vertices hook to its smallest; the 4000-cycle stays live for
+    # about seven more.
+    triangles = np.arange(3000).reshape(-1, 3)
+    cycle = np.arange(3000, 7000)
+    edges = np.concatenate(
+        [
+            np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2).reshape(-1, 2),
+            np.column_stack([cycle, np.roll(cycle, -1)]),
+        ]
+    )
+    labels = rng.permutation(7000)
+    return MultiGraph(7000, labels[edges])
+
+
 ADVERSARIAL_GRAPHS = {
     "random_path": _random_path,
+    "isolated_vertices_around_a_path": _isolated_vertices_around_a_path,
+    "short_cycles_beside_a_long_one": _short_cycles_beside_a_long_one,
     "star_with_largest_centre": _star_with_largest_centre,
     "interleaved_cycles": _interleaved_cycles,
     "parallel_edges_and_loops_only": lambda rng: MultiGraph(
