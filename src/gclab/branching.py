@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import (
-    ComponentSizeAtLeast,
-    ComponentSizeExactly,
-    Conjunction,
-    LocalProperty,
-    MaxDegreeBall,
-    RootDegree,
-)
+from .census import LocalProperty, clauses
 from .distributions import Distribution, mean, offspring
 from .errors import DegenerateDistribution, NoThreshold, SpecParseError
 
@@ -193,11 +186,11 @@ def rho_k_table(dist: Distribution, k_max: int) -> ProgenyTable:
 def limit_probability(dist: Distribution, prop: LocalProperty) -> float:
     """Exact probability that the two-stage limit tree has ``prop``.
 
-    A conjunction of clauses comes down to a set of allowed root degrees, a
-    degree cap c(l) at each depth l = 0..L (the least delta of the
-    max_degree_ball clauses that reach depth l) and a window [a, b] for the
-    component size (b infinite without a component_exactly clause). With
-    q the offspring law and
+    The clauses of prop (``census.clauses``) come down to a set of allowed
+    root degrees, a degree cap c(l) at each depth l = 0..L (the least delta
+    of the max_degree_ball clauses that reach depth l) and a window [a, b]
+    for the component size (b infinite without a component_exactly clause).
+    With q the offspring law and
 
         F_l(s) = s sum_{z <= c(l)-1} q_z F_{l+1}(s)^z,  0 < l <= L,
 
@@ -209,7 +202,17 @@ def limit_probability(dist: Distribution, prop: LocalProperty) -> float:
     each series are kept, K = b or a - 1; a spec with K past
     MAX_COMPONENT_SIZE or L past MAX_BALL_RADIUS is refused.
     """
-    root, caps, low, high = _reduce(dist, prop)
+    degrees, balls, low, high = clauses(prop)
+    root = dist.support >= 0
+    for d in degrees:
+        root &= dist.support == d
+    # The radius is checked before the caps are built: one per depth.
+    depth = max((t for _, t in balls), default=-1)
+    if depth > MAX_BALL_RADIUS:
+        raise SpecParseError(f"ball radius {depth} exceeds MAX_BALL_RADIUS = {MAX_BALL_RADIUS}")
+    caps = [min(delta for delta, t in balls if t >= level) for level in range(depth + 1)]
+    if caps:
+        root &= dist.support <= caps[0]
     order = high if high < math.inf else low - 1
     if order > MAX_COMPONENT_SIZE:
         raise SpecParseError(f"component size {order} exceeds MAX_COMPONENT_SIZE = {MAX_COMPONENT_SIZE}")
@@ -224,33 +227,6 @@ def limit_probability(dist: Distribution, prop: LocalProperty) -> float:
         for cap in reversed(caps[1:]):
             below = _expected_power(q, q.support < cap, below)
     return max(0.0, _expected_power(dist, root, below) - float(series.sum()))
-
-
-def _reduce(dist: Distribution, prop: LocalProperty) -> tuple[np.ndarray, list[int], int, float]:
-    """(mask of the allowed root degrees in the support, c(0..L), a, b)."""
-    root, balls, low, high = dist.support >= 0, [], 1, math.inf
-    parts = [prop]
-    while parts:
-        part = parts.pop()
-        if isinstance(part, Conjunction):
-            parts.extend(part.parts)
-        elif isinstance(part, RootDegree):
-            root &= dist.support == part.d
-        elif isinstance(part, ComponentSizeExactly):
-            low, high = max(low, part.k), min(high, part.k)
-        elif isinstance(part, ComponentSizeAtLeast):
-            low = max(low, part.k)
-        elif isinstance(part, MaxDegreeBall):
-            balls.append((part.t, part.delta))
-        else:
-            raise TypeError(f"unknown property kind {type(part).__name__}")
-    depth = max((t for t, _ in balls), default=-1)
-    if depth > MAX_BALL_RADIUS:
-        raise SpecParseError(f"ball radius {depth} exceeds MAX_BALL_RADIUS = {MAX_BALL_RADIUS}")
-    caps = [min(delta for t, delta in balls if t >= level) for level in range(depth + 1)]
-    if caps:
-        root &= dist.support <= caps[0]
-    return root, caps, low, high
 
 
 def _weights(law: Distribution, kept: np.ndarray, length: int) -> np.ndarray:

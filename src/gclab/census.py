@@ -3,14 +3,16 @@
 A "local property" is a predicate of a rooted graph that only looks at the
 ball of some finite radius around the root; the built-in kinds below cover
 component-size predicates, the root-degree predicate, and the bounded-degree
-ball predicate used by the concentration machinery. ``property_mask``
-decides a property at every vertex in one vectorized pass (census or
-whole-array BFS steps over the edge rows), never one BFS per vertex; it is
-the one evaluator of properties on graphs.
+ball predicate used by the concentration machinery. ``clauses`` is the one
+reading of a spec; ``property_mask`` and ``branching.limit_probability``
+both consume it. ``property_mask`` decides a property at every vertex in one
+vectorized pass (census or whole-array BFS steps over the edge rows), never
+one BFS per vertex; it is the one evaluator of properties on graphs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,31 +170,59 @@ class Conjunction(LocalProperty):
     parts: tuple[LocalProperty, ...]
 
 
+def clauses(prop: LocalProperty) -> tuple[list[int], list[tuple[int, int]], int, float]:
+    """The clauses of prop: (root degrees, (delta, t) ball clauses, a, b).
+
+    prop holds where every clause does, its size clauses as one window
+    [a, b], b infinite without component_exactly. Nested conjunctions
+    flatten in spec order; an unknown kind raises TypeError.
+    """
+    degrees, balls, low, high = [], [], 1, math.inf
+    parts = [prop]
+    while parts:
+        part = parts.pop()
+        if isinstance(part, Conjunction):
+            parts.extend(reversed(part.parts))
+        elif isinstance(part, RootDegree):
+            degrees.append(part.d)
+        elif isinstance(part, ComponentSizeExactly):
+            low, high = max(low, part.k), min(high, part.k)
+        elif isinstance(part, ComponentSizeAtLeast):
+            low = max(low, part.k)
+        elif isinstance(part, MaxDegreeBall):
+            balls.append((part.delta, part.t))
+        else:
+            raise TypeError(f"unknown property kind {type(part).__name__}")
+    return degrees, balls, low, high
+
+
 def property_mask(
     graph: MultiGraph,
     prop: LocalProperty,
     census: ComponentCensus | None = None,
 ) -> np.ndarray:
     """Boolean vector: entry v says whether the graph rooted at v has prop."""
-    if isinstance(prop, Conjunction):
+    root_degrees, balls, low, high = clauses(prop)
+    if (low, high) == (1, math.inf):
         mask = np.ones(graph.n, dtype=bool)
-        for part in prop.parts:
-            mask &= property_mask(graph, part, census)
-        return mask
-    if isinstance(prop, (ComponentSizeExactly, ComponentSizeAtLeast)):
+    else:
         census = census if census is not None else components(graph)
         # Decide per component, then gather bools, not int64 sizes.
-        if isinstance(prop, ComponentSizeExactly):
-            holds = census.sizes == prop.k
-        else:
-            holds = census.sizes >= prop.k
-        return holds[census.component_id]
-    if isinstance(prop, RootDegree):
-        return graph.degrees() == prop.d
-    if isinstance(prop, MaxDegreeBall):
-        heavy = graph.degrees() > prop.delta
-        return ~_within_distance(graph, heavy, prop.t)
-    raise TypeError(f"unknown property kind {type(prop).__name__}")
+        holds = census.sizes >= low
+        if high < math.inf:
+            holds &= census.sizes <= high
+        mask = holds[census.component_id]
+        del holds
+    if root_degrees or balls:
+        degrees = graph.degrees()
+        for d in root_degrees:
+            mask &= degrees == d
+        # Only the bools outlive the degrees into the BFS.
+        heavy = [degrees > delta for delta, _ in balls]
+        del degrees
+        for (_, t), sources in zip(balls, heavy):
+            mask &= ~_within_distance(graph, sources, t)
+    return mask
 
 
 def property_counts(graph: MultiGraph, prop: LocalProperty) -> tuple[int, int]:

@@ -36,7 +36,7 @@ def _int64_array(values, what: str) -> np.ndarray:
 
 
 class DegreeSequence:
-    """Finite list of vertex degrees with even sum."""
+    """Finite list of vertex degrees with even sum, n * max degree within int64."""
 
     __slots__ = ("degrees",)
 
@@ -46,6 +46,8 @@ class DegreeSequence:
             raise ValueError("degree sequence must be a non-empty 1-d sequence")
         if (arr < 0).any():
             raise ValueError("degrees must be non-negative")
+        if int(arr.max()) > np.iinfo(np.int64).max // arr.size:
+            raise ValueError("degree sum may overflow int64")
         if int(arr.sum()) % 2 != 0:
             raise ValueError("degree sum must be even")
         arr.setflags(write=False)
@@ -319,8 +321,8 @@ def sample_simple(ds: DegreeSequence, rng: np.random.Generator, max_attempts: in
 def load_degree_sequence(path) -> DegreeSequence:
     """Read a degree sequence: JSON array, or one integer per line.
 
-    An unreadable file, invalid JSON, an entry that is not an integer and an
-    invalid sequence (negative entry, odd sum) raise SpecParseError.
+    An unreadable file, invalid JSON, a non-integer entry and an invalid
+    sequence (negative entry, odd sum, int64 overflow) raise SpecParseError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -44,7 +44,7 @@ class Distribution:
     threads; random draws go through a caller-owned ``numpy`` generator.
     """
 
-    __slots__ = ("support", "probs", "truncated_mass", "_cdf")
+    __slots__ = ("support", "probs", "truncated_mass")
 
     def __init__(self, masses):
         masses = list(masses)
@@ -73,7 +73,6 @@ class Distribution:
         if abs(total - 1.0) > len(pairs) * np.finfo(np.float64).eps:
             self.probs /= total
         self.truncated_mass = max(0.0, 1.0 - total)
-        self._cdf = None
         self.support.setflags(write=False)
         self.probs.setflags(write=False)
 
@@ -89,7 +88,6 @@ class Distribution:
         out.support = support[order]
         out.probs = probs[order] / probs.sum()
         out.truncated_mass = 0.0
-        out._cdf = None
         out.support.setflags(write=False)
         out.probs.setflags(write=False)
         return out
@@ -179,11 +177,9 @@ def supercriticality(dist: Distribution) -> float:
 def sample(dist: Distribution, rng: np.random.Generator, size) -> np.ndarray:
     """Draw ``size`` values as an int64 array; deterministic given the
     generator state. ``size`` is required: there is no scalar draw."""
-    if dist._cdf is None:
-        cdf = np.cumsum(dist.probs)
-        cdf[-1] = 1.0
-        dist._cdf = cdf
-    idx = np.searchsorted(dist._cdf, rng.random(size), side="right")
+    cdf = np.cumsum(dist.probs)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, rng.random(size), side="right")
     return dist.support[idx]
 
 

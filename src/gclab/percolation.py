@@ -29,10 +29,6 @@ class ColoredGraph:
             raise ValueError("need exactly one color flag per edge")
         self.red.setflags(write=False)
 
-    @property
-    def red_count(self) -> int:
-        return int(self.red.sum())
-
 
 def color_edges(graph: MultiGraph, p: float, rng: np.random.Generator) -> ColoredGraph:
     """Color each edge red with probability p, independently."""

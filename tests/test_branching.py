@@ -472,6 +472,8 @@ def test_limit_probability_pinned_values(mixture):
     got = limit_probability(law, parse_property_spec("root_degree:2&max_degree_ball:2,1"))
     assert got == pytest.approx(0.2 * (0.7 / 3.1) ** 2, rel=1e-14)
     assert got == pytest.approx(0.01019771071800208, rel=1e-14)
+    nested = Conjunction((Conjunction((RootDegree(2),)), Conjunction((MaxDegreeBall(2, 1), Conjunction(())))))
+    assert limit_probability(law, nested) == got
     assert limit_probability(law, ComponentSizeExactly(5)) == rho_k_table(law, 5).rho_k[4]
     # Degrees 1 and 3 keep every ball within degree 3 and no root is alone:
     # exactly 1.0, also where the masses sum to 1 - 2^-53 in floats.

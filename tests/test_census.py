@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gclab.branching import limit_probability
 from gclab.census import (
     ComponentSizeAtLeast,
     ComponentSizeExactly,
     Conjunction,
+    LocalProperty,
     MaxDegreeBall,
     RootDegree,
+    clauses,
     components,
     property_counts,
     property_mask,
@@ -187,14 +192,24 @@ def test_evaluate_requires_enough_depth():
 
 
 def _properties(draw_int):
-    """One property of every kind, plus a conjunction, from small parameters."""
+    """One property of every kind, plus conjunctions, from small parameters.
+
+    One conjunction holds every kind and a second ball clause of another
+    radius; another nests both ball clauses and a size clause.
+    """
     kinds = [
         RootDegree(draw_int(0, 4)),
         ComponentSizeExactly(draw_int(1, 5)),
         ComponentSizeAtLeast(draw_int(1, 5)),
         MaxDegreeBall(draw_int(0, 4), draw_int(0, 2)),
     ]
-    return kinds + [Conjunction((kinds[0], kinds[3])), Conjunction((kinds[1], kinds[2]))]
+    second_ball = MaxDegreeBall(draw_int(0, 4), (kinds[3].t + draw_int(1, 2)) % 3)
+    return kinds + [
+        Conjunction((kinds[0], kinds[3])),
+        Conjunction((kinds[1], kinds[2])),
+        Conjunction((*kinds, second_ball)),
+        Conjunction((kinds[3], Conjunction((second_ball, Conjunction((kinds[2],)))))),
+    ]
 
 
 def _assert_mask_matches_oracle(graph, props, vertices):
@@ -233,6 +248,49 @@ def test_property_mask_matches_ball_oracle_on_forest_roots(data, atoms, trees, s
         np.testing.assert_array_equal(
             property_mask(cut, prop)[:trees], property_mask(deep, prop)[:trees]
         )
+
+
+def test_clauses_flatten_a_spec(mixture):
+    nested = Conjunction((
+        RootDegree(3),
+        Conjunction((ComponentSizeAtLeast(2), MaxDegreeBall(4, 1), Conjunction((RootDegree(3), RootDegree(1))))),
+        ComponentSizeExactly(6),
+        ComponentSizeAtLeast(4),
+        MaxDegreeBall(2, 0),
+    ))
+    assert clauses(nested) == ([3, 3, 1], [(4, 1), (2, 0)], 6, 6)
+    assert clauses(Conjunction((ComponentSizeExactly(3), ComponentSizeExactly(5)))) == ([], [], 5, 3)
+    assert clauses(ComponentSizeAtLeast(0)) == ([], [], 1, math.inf)
+    assert clauses(Conjunction(())) == ([], [], 1, math.inf)
+
+    class Unknown(LocalProperty):
+        pass
+
+    for prop in (Unknown(), Conjunction((RootDegree(1), Unknown()))):
+        with pytest.raises(TypeError, match="Unknown"):
+            clauses(prop)
+        with pytest.raises(TypeError, match="Unknown"):
+            property_mask(MultiGraph(2, [[0, 1]]), prop)
+        with pytest.raises(TypeError, match="Unknown"):
+            limit_probability(mixture, prop)
+
+
+def test_property_mask_reads_the_degrees_once(monkeypatch, mixture_graph):
+    calls = []
+    degrees = MultiGraph.degrees
+
+    def counted(graph):
+        calls.append(graph)
+        return degrees(graph)
+
+    monkeypatch.setattr(MultiGraph, "degrees", counted)
+    prop = Conjunction((RootDegree(3), MaxDegreeBall(3, 1)))
+    mask = property_mask(mixture_graph, prop)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    np.testing.assert_array_equal(
+        mask, property_mask(mixture_graph, RootDegree(3)) & property_mask(mixture_graph, MaxDegreeBall(3, 1))
+    )
 
 
 def test_property_radii():

@@ -39,6 +39,11 @@ def test_degree_sequence_validation():
         DegreeSequence([])
     with pytest.raises(ValueError):
         DegreeSequence([-1, 1])
+    # Sums past int64 would wrap: m = -2^62 and -1 for these two.
+    for degrees in ([2**62, 2**62], [2**63 - 1] * 2):
+        with pytest.raises(ValueError):
+            DegreeSequence(degrees)
+    assert DegreeSequence([2**62 - 1] * 2).size == 2**62 - 1
 
 
 @pytest.mark.parametrize(
@@ -375,6 +380,7 @@ def test_degree_sequence_file_round_trip(tmp_path):
         pytest.param("words.txt", "3\nthree\n", id="text-non-integer"),
         pytest.param("odd.txt", "3\n1\n1\n", id="odd-sum"),
         pytest.param("neg.json", "[2, -2]", id="negative"),
+        pytest.param("huge.txt", f"{2**62}\n{2**62}\n", id="sum-overflow"),
     ],
 )
 def test_load_degree_sequence_refuses_cleanly(tmp_path, name, content):

@@ -49,7 +49,7 @@ def test_color_count_concentration():
     edges[:, 1] = 1
     g = MultiGraph(2, edges)
     colored = color_edges(g, 0.5, np.random.default_rng(123))
-    assert abs(colored.red_count - m / 2) <= 4.0 * np.sqrt(m / 4)
+    assert abs(int(colored.red.sum()) - m / 2) <= 4.0 * np.sqrt(m / 4)
 
 
 def test_color_deterministic_per_seed():
