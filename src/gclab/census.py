@@ -85,12 +85,13 @@ def components(graph: MultiGraph) -> ComponentCensus:
     parent = np.arange(n)
     np.minimum.at(parent, hi, lo)
     parent = _flatten(parent)
+    # [] on the strided columns: take would first copy each to a contiguous one.
+    lo = parent[lo]
+    hi = parent[hi]
     while True:
-        lo = parent[lo]
-        hi = parent[hi]
         apart = lo != hi
-        lo = lo[apart]
-        hi = hi[apart]
+        lo = lo.compress(apart)
+        hi = hi.compress(apart)
         del apart
         if not lo.size:
             break
@@ -102,33 +103,35 @@ def components(graph: MultiGraph) -> ComponentCensus:
         live[hi] = True
         live = np.flatnonzero(live)
         np.minimum.at(parent, hi, lo)
-        up = parent[live]
+        up = parent.take(live)
         while True:
-            upup = parent[up]
+            upup = parent.take(up)
             if np.array_equal(upup, up):
                 break
             parent[live] = upup
             up = upup
         del live, up, upup
+        lo = parent.take(lo)
+        hi = parent.take(hi)
     parent = _flatten(parent)
     # Roots are the smallest vertices of their components, and a stable sort
     # of the roots (in vertex order) by size breaks ties by that vertex.
     roots = np.flatnonzero(parent == np.arange(n))
-    sizes = np.bincount(parent, minlength=n)[roots]
+    sizes = np.bincount(parent, minlength=n).take(roots)
     order = np.argsort(-sizes, kind="stable")
-    sizes = sizes[order]
-    roots = roots[order]
+    sizes = sizes.take(order)
+    roots = roots.take(order)
     del order
     rank = np.empty(n, dtype=np.int64)
     rank[roots] = np.arange(roots.size)
     del roots
-    return ComponentCensus(sizes, rank[parent])
+    return ComponentCensus(sizes, rank.take(parent))
 
 
 def _flatten(parent: np.ndarray) -> np.ndarray:
     """Jump pointers over the whole array until each vertex points at a root."""
     while True:
-        jumped = parent[parent]
+        jumped = parent.take(parent)
         if np.array_equal(jumped, parent):
             return jumped
         parent = jumped
@@ -211,7 +214,7 @@ def property_mask(
         holds = census.sizes >= low
         if high < math.inf:
             holds &= census.sizes <= high
-        mask = holds[census.component_id]
+        mask = holds.take(census.component_id)
         del holds
     if root_degrees or balls:
         degrees = graph.degrees()
@@ -240,6 +243,7 @@ def _within_distance(graph: MultiGraph, sources: np.ndarray, t: int) -> np.ndarr
     marks its own, already reached, vertex); a step that reaches nothing new
     ends it.
     """
+    # [] on the strided columns: take would first copy each to a contiguous one.
     u, v = graph.edges[:, 0], graph.edges[:, 1]
     reached = sources.copy()
     for _ in range(t):

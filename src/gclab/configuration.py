@@ -9,6 +9,7 @@ degrees, which is what ``sample_simple`` implements by rejection.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -25,6 +26,10 @@ from .errors import Exhausted, SamePair, SpecParseError
 # host, numpy 2.4). The cap holds a run near 1.2 GB, and keeps the pair
 # keys u*n + v below 2.5e15, far from int64 overflow.
 MAX_GRAPH_ELEMENTS = 5 * 10**7
+
+# Largest vertex count of a MultiGraph: the pair keys u*n + v of is_simple
+# and adjacency_csr reach n^2 - 1, which must not wrap int64.
+MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
 
 
 def _int64_array(values, what: str) -> np.ndarray:
@@ -117,6 +122,11 @@ class MultiGraph:
 
     def __init__(self, n: int, edges):
         self.n = int(n)
+        if self.n > MAX_VERTICES:
+            raise ValueError(
+                f"n = {self.n} exceeds MAX_VERTICES = {MAX_VERTICES}: "
+                "the pair keys u*n + v would wrap int64"
+            )
         arr = _int64_array(edges, "edge endpoints").reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= self.n):
             raise ValueError("edge endpoint outside vertex range")

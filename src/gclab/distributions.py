@@ -180,7 +180,7 @@ def sample(dist: Distribution, rng: np.random.Generator, size) -> np.ndarray:
     cdf = np.cumsum(dist.probs)
     cdf[-1] = 1.0
     idx = np.searchsorted(cdf, rng.random(size), side="right")
-    return dist.support[idx]
+    return dist.support.take(idx)
 
 
 def from_json_doc(doc) -> Distribution:

@@ -44,8 +44,8 @@ def split(colored: ColoredGraph):
     sequences add up vertexwise to the degrees of the base graph.
     """
     base = colored.base
-    red_graph = MultiGraph(base.n, base.edges[colored.red])
-    blue_graph = MultiGraph(base.n, base.edges[~colored.red])
+    red_graph = MultiGraph(base.n, base.edges.compress(colored.red, axis=0))
+    blue_graph = MultiGraph(base.n, base.edges.compress(~colored.red, axis=0))
     return (
         red_graph,
         blue_graph,
@@ -57,4 +57,4 @@ def split(colored: ColoredGraph):
 def percolate(graph: MultiGraph, p: float, rng: np.random.Generator) -> MultiGraph:
     """Keep each edge independently with probability p (the red subgraph)."""
     colored = color_edges(graph, p, rng)
-    return MultiGraph(graph.n, graph.edges[colored.red])
+    return MultiGraph(graph.n, graph.edges.compress(colored.red, axis=0))

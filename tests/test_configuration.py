@@ -347,6 +347,17 @@ def test_is_simple_cases():
     assert is_simple(MultiGraph(3, []))
 
 
+def test_vertex_count_keeps_pair_keys_in_int64():
+    # The pair key u*n + v wraps int64 past n = isqrt(2^63 - 1): at n = 2^33
+    # the two distinct pairs below got equal keys and is_simple said False.
+    largest = 3_037_000_499
+    for n in (largest + 1, 2**33):
+        with pytest.raises(ValueError, match="wrap int64"):
+            MultiGraph(n, [[0, 2**31 + 1], [2**31, 2**31 + 1]])
+    assert is_simple(MultiGraph(largest, [[0, largest - 1], [largest - 2, largest - 1]]))
+    assert not is_simple(MultiGraph(largest, [[largest - 2, largest - 1]] * 2))
+
+
 def test_sample_simple_trivial_success(rng):
     g = sample_simple(DegreeSequence([1, 1]), rng, max_attempts=1)
     assert g.edges.tolist() == [[0, 1]]

@@ -124,6 +124,30 @@ def test_percolate_three_regular_supercritical(regular3):
     assert abs(components(kept).largest / n - 19 / 27) <= 0.02
 
 
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_percolation_keeps_the_red_rows_in_order(p):
+    graphs = [
+        MultiGraph(5, []),
+        MultiGraph(6, [[0, 0], [0, 1], [1, 0], [2, 3], [3, 3], [2, 3], [4, 5], [5, 5]]),
+        random_multigraph(np.random.default_rng(3), n=50, m=400),
+    ]
+    for seed, g in enumerate(graphs):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        red = reference.random(g.num_edges) < p
+        kept = percolate(g, p, rng)
+        assert kept.edges.shape == (int(red.sum()), 2)
+        np.testing.assert_array_equal(kept.edges, g.edges[red])
+        assert rng.random() == reference.random()
+
+        colored = color_edges(g, p, np.random.default_rng(seed))
+        np.testing.assert_array_equal(colored.red, red)
+        red_g, blue_g, _, _ = split(colored)
+        rows = np.empty_like(g.edges)
+        rows[red] = red_g.edges
+        rows[~red] = blue_g.edges
+        np.testing.assert_array_equal(rows, g.edges)
+
+
 # ---------------------------------------------------------------------------
 # thinned-degree bridge
 
