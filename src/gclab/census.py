@@ -21,38 +21,47 @@ from .configuration import MultiGraph
 
 
 class ComponentCensus:
-    """Component decomposition: sizes sorted descending plus a vertex labeling.
+    """Component decomposition: sizes sorted descending, the components'
+    roots in that order, and each vertex's root (``parent``).
 
-    Ties between equal-sized components are broken by the smallest vertex
-    index they contain, so component 0 is always *the* largest component.
+    A root is its component's smallest vertex. Equal sizes are ordered by
+    it, so component 0 is always *the* largest component.
     """
 
-    __slots__ = ("sizes", "component_id")
+    __slots__ = ("sizes", "roots", "parent", "_component_id")
 
-    def __init__(self, sizes: np.ndarray, component_id: np.ndarray):
+    def __init__(self, sizes: np.ndarray, roots: np.ndarray, parent: np.ndarray):
         self.sizes = sizes
-        self.component_id = component_id
+        self.roots = roots
+        self.parent = parent
+        self._component_id = None
 
     @property
     def largest(self) -> int:
-        """L1: number of vertices in the largest component."""
-        return int(self.sizes[0])
+        """L1: number of vertices in the largest component, 0 without vertices."""
+        return int(self.sizes[0]) if self.sizes.size else 0
 
     @property
     def second_largest(self) -> int:
         """L2, or 0 when there is a single component."""
         return int(self.sizes[1]) if self.sizes.size > 1 else 0
 
+    @property
+    def component_id(self) -> np.ndarray:
+        """Entry v is the number of v's component; built on first read."""
+        if self._component_id is None:
+            rank = np.empty(self.parent.size, dtype=np.int64)
+            rank[self.roots] = np.arange(self.roots.size)
+            self._component_id = rank.take(self.parent)
+        return self._component_id
+
     def vertices_in_components_of_size(self, k: int) -> int:
         """N_k: number of vertices lying in components with exactly k vertices."""
         return int(k * np.count_nonzero(self.sizes == k))
 
-    def vertices_in_components_of_size_at_least(self, k: int) -> int:
-        """N_{>=k}: number of vertices in components with at least k vertices."""
-        return int(self.sizes[self.sizes >= k].sum())
-
     def giant_mask(self) -> np.ndarray:
-        return self.component_id == 0
+        # roots[:1] is empty on the vertexless graph, and so is the mask.
+        return self.parent == self.roots[:1]
 
 
 def components(graph: MultiGraph) -> ComponentCensus:
@@ -68,15 +77,19 @@ def components(graph: MultiGraph) -> ComponentCensus:
     ~2 log2(n) rounds (4-5 on configuration graphs at n = 10^5-10^6, 12-13
     on randomly labelled paths of 10^6 vertices).
 
-    The first round hooks along every edge and flattens the whole array.
-    Later rounds touch only the live roots, the ends of the edges that are
-    left. Only live roots are hooked, and only onto live roots, so every
-    pointer chain that starts at a live root stays among the live roots,
-    and jumping over those alone makes each of them point at its root.
-    Other vertices may then point at a root that has since been hooked, so
-    one whole-array flatten after the last round finishes the job. The
-    components are numbered by their roots: a stable sort of the roots, in
-    vertex order, by size.
+    The first round hooks along every edge, jumps the whole array once,
+    then jumps only the vertices that moved (6-19% on configuration graphs);
+    the others already point at a root. Later rounds touch only the live
+    roots, the ends of the edges that are left. Only live roots are hooked,
+    and only onto live roots, so every pointer chain that starts at a live
+    root stays among the live roots, and jumping over those alone makes
+    each of them point at its root. Other vertices may then point at a root
+    that has since been hooked, so one whole-array flatten after the last
+    round finishes the job.
+
+    The components are numbered by one sort of the keys (n - size)*n + root:
+    size descending, ties to the smaller root. The keys stay below n^2,
+    within int64 by MAX_VERTICES.
     """
     n = graph.n
     # The first round reads the edge columns as they are: rows are
@@ -84,7 +97,12 @@ def components(graph: MultiGraph) -> ComponentCensus:
     lo, hi = graph.edges[:, 0], graph.edges[:, 1]
     parent = np.arange(n)
     np.minimum.at(parent, hi, lo)
-    parent = _flatten(parent)
+    jumped = parent.take(parent)
+    moved = np.flatnonzero(jumped != parent)
+    parent = jumped
+    del jumped  # else the name would keep this array alive past _flatten
+    _jump(parent, moved)
+    del moved
     # [] on the strided columns: take would first copy each to a contiguous one.
     lo = parent[lo]
     hi = parent[hi]
@@ -103,29 +121,22 @@ def components(graph: MultiGraph) -> ComponentCensus:
         live[hi] = True
         live = np.flatnonzero(live)
         np.minimum.at(parent, hi, lo)
-        up = parent.take(live)
-        while True:
-            upup = parent.take(up)
-            if np.array_equal(upup, up):
-                break
-            parent[live] = upup
-            up = upup
-        del live, up, upup
+        _jump(parent, live)
+        del live
         lo = parent.take(lo)
         hi = parent.take(hi)
     parent = _flatten(parent)
-    # Roots are the smallest vertices of their components, and a stable sort
-    # of the roots (in vertex order) by size breaks ties by that vertex.
     roots = np.flatnonzero(parent == np.arange(n))
-    sizes = np.bincount(parent, minlength=n).take(roots)
-    order = np.argsort(-sizes, kind="stable")
-    sizes = sizes.take(order)
-    roots = roots.take(order)
-    del order
-    rank = np.empty(n, dtype=np.int64)
-    rank[roots] = np.arange(roots.size)
-    del roots
-    return ComponentCensus(sizes, rank.take(parent))
+    key = np.bincount(parent, minlength=n).take(roots)
+    np.subtract(n, key, out=key)
+    key *= n
+    key += roots
+    key.sort()
+    # Decoded in place, into the keys and the roots' own buffer: the census
+    # gets no freshly allocated array here.
+    sizes, roots = np.divmod(key, n, out=(key, roots))
+    np.subtract(n, sizes, out=sizes)
+    return ComponentCensus(sizes, roots, parent)
 
 
 def _flatten(parent: np.ndarray) -> np.ndarray:
@@ -135,6 +146,18 @@ def _flatten(parent: np.ndarray) -> np.ndarray:
         if np.array_equal(jumped, parent):
             return jumped
         parent = jumped
+
+
+def _jump(parent: np.ndarray, movers: np.ndarray) -> None:
+    """Jump the movers' pointers in place until each points at a root; every
+    chain from a mover must run through movers and vertices at a root."""
+    up = parent.take(movers)
+    while True:
+        upup = parent.take(up)
+        if np.array_equal(upup, up):
+            return
+        parent[movers] = upup
+        up = upup
 
 
 class LocalProperty:
@@ -210,12 +233,16 @@ def property_mask(
         mask = np.ones(graph.n, dtype=bool)
     else:
         census = census if census is not None else components(graph)
-        # Decide per component, then gather bools, not int64 sizes.
+        # Decide per component, put each answer at its root, then gather
+        # bools by each vertex's root, not int64 sizes by component ids.
         holds = census.sizes >= low
         if high < math.inf:
             holds &= census.sizes <= high
-        mask = holds.take(census.component_id)
+        at_root = np.zeros(graph.n, dtype=bool)
+        at_root[census.roots] = holds
         del holds
+        mask = at_root.take(census.parent)
+        del at_root
     if root_degrees or balls:
         degrees = graph.degrees()
         for d in root_degrees:

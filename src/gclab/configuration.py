@@ -133,10 +133,18 @@ class MultiGraph:
         ordered = np.empty(arr.shape, dtype=np.int64)
         np.minimum(arr[:, 0], arr[:, 1], out=ordered[:, 0])
         np.maximum(arr[:, 0], arr[:, 1], out=ordered[:, 1])
-        ordered.setflags(write=False)
-        self.edges = ordered
+        self._adopt(self.n, ordered)
+
+    def _adopt(self, n: int, rows: np.ndarray) -> MultiGraph:
+        """Freeze and keep rows, already int64 (min, max) pairs below n, as
+        the edges, with no check or copy; returns self. Callers holding
+        such rows build a graph by ``MultiGraph.__new__(MultiGraph)._adopt``."""
+        rows.setflags(write=False)
+        self.n = n
+        self.edges = rows
         self._adj = None
         self._inc = None
+        return self
 
     @property
     def num_edges(self) -> int:

@@ -44,8 +44,8 @@ def split(colored: ColoredGraph):
     sequences add up vertexwise to the degrees of the base graph.
     """
     base = colored.base
-    red_graph = MultiGraph(base.n, base.edges.compress(colored.red, axis=0))
-    blue_graph = MultiGraph(base.n, base.edges.compress(~colored.red, axis=0))
+    red_graph = _subgraph(base, colored.red)
+    blue_graph = _subgraph(base, ~colored.red)
     return (
         red_graph,
         blue_graph,
@@ -57,4 +57,10 @@ def split(colored: ColoredGraph):
 def percolate(graph: MultiGraph, p: float, rng: np.random.Generator) -> MultiGraph:
     """Keep each edge independently with probability p (the red subgraph)."""
     colored = color_edges(graph, p, rng)
-    return MultiGraph(graph.n, graph.edges.compress(colored.red, axis=0))
+    return _subgraph(graph, colored.red)
+
+
+def _subgraph(graph: MultiGraph, keep: np.ndarray) -> MultiGraph:
+    """The graph on the rows that keep flags. They are already (min, max)
+    pairs below n, so they skip MultiGraph's check and copy."""
+    return MultiGraph.__new__(MultiGraph)._adopt(graph.n, graph.edges.compress(keep, axis=0))

@@ -497,6 +497,24 @@ def random_multigraph(rng: np.random.Generator, n: int, m: int) -> MultiGraph:
     return MultiGraph(n, edges)
 
 
+def vertices_in_components_of_size_at_least(census, k: int) -> int:
+    """N_{>=k}: number of vertices in components with at least k vertices."""
+    return int(census.sizes[census.sizes >= k].sum())
+
+
+def numbering_oracle(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component sizes and ids from each vertex's root, its component's
+    smallest vertex: a stable argsort of the roots, in vertex order, by
+    size descending, then a rank per root gathered by each vertex's root."""
+    n = parent.size
+    roots = np.flatnonzero(parent == np.arange(n))
+    sizes = np.bincount(parent, minlength=n)[roots]
+    order = np.argsort(-sizes, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[roots[order]] = np.arange(roots.size)
+    return sizes[order], rank[parent]
+
+
 def partitions(total: int, largest: int | None = None):
     """Non-increasing positive integer partitions of ``total``."""
     if largest is None:

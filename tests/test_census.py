@@ -29,6 +29,7 @@ from helpers import (
     random_multigraph,
     sample_tree_forest,
     tree_property_probability,
+    vertices_in_components_of_size_at_least,
 )
 
 
@@ -76,6 +77,14 @@ def test_components_tie_break_by_smallest_vertex():
     assert cen.component_id[1] == 1
 
 
+def test_components_of_the_vertexless_graph():
+    cen = components(MultiGraph(0, []))
+    assert cen.largest == 0 and cen.second_largest == 0
+    assert cen.sizes.size == 0
+    assert cen.giant_mask().shape == (0,) and cen.giant_mask().dtype == bool
+    assert property_counts(MultiGraph(0, []), ComponentSizeAtLeast(1)) == (0, 0)
+
+
 def test_components_ignores_loops_for_connectivity():
     g = MultiGraph(3, [[0, 0], [1, 2]])
     cen = components(g)
@@ -92,7 +101,7 @@ def test_census_counting_identities(rng):
         assert total == n
         for k in range(1, 8):
             below = sum(cen.vertices_in_components_of_size(j) for j in range(1, k))
-            assert cen.vertices_in_components_of_size_at_least(k) == n - below
+            assert vertices_in_components_of_size_at_least(cen, k) == n - below
 
 
 def test_l1_plus_l2_bounded_by_tail_counts(rng):
@@ -101,7 +110,7 @@ def test_l1_plus_l2_bounded_by_tail_counts(rng):
         cen = components(g)
         l1, l2 = cen.largest, cen.second_largest
         for k in range(1, max(l2, 1) + 1):
-            assert l1 + l2 <= cen.vertices_in_components_of_size_at_least(k) + 2 * k
+            assert l1 + l2 <= vertices_in_components_of_size_at_least(cen, k) + 2 * k
 
 
 def test_census_json_export():

@@ -12,7 +12,7 @@ from gclab.census import MaxDegreeBall, components, property_mask
 from gclab.configuration import MultiGraph, is_simple, sample_degree_sequence, sample_pairing, to_multigraph
 from gclab.distributions import Distribution
 
-from helpers import neighborhood
+from helpers import neighborhood, numbering_oracle
 
 
 @st.composite
@@ -156,18 +156,32 @@ def _short_cycles_beside_a_long_one(rng):
     return MultiGraph(7000, labels[edges])
 
 
+def _tied_sizes_under_random_labels(rng):
+    # 2000 paths of one to four vertices, relabelled at random: each size
+    # is shared by about 500 components, so every tie is broken by labels.
+    lengths = rng.integers(1, 5, size=2000)
+    n = int(lengths.sum())
+    starts = np.zeros(n, dtype=bool)
+    starts[np.cumsum(lengths)[:-1]] = True
+    steps = np.column_stack([np.arange(n - 1), np.arange(1, n)])[~starts[1:]]
+    labels = rng.permutation(n)
+    return MultiGraph(n, labels[steps])
+
+
 ADVERSARIAL_GRAPHS = {
     "random_path": _random_path,
     "isolated_vertices_around_a_path": _isolated_vertices_around_a_path,
     "short_cycles_beside_a_long_one": _short_cycles_beside_a_long_one,
     "star_with_largest_centre": _star_with_largest_centre,
     "interleaved_cycles": _interleaved_cycles,
+    "tied_sizes_under_random_labels": _tied_sizes_under_random_labels,
     "parallel_edges_and_loops_only": lambda rng: MultiGraph(
         7, [[0, 0], [2, 1], [1, 2], [1, 2], [3, 3], [3, 3], [6, 4], [4, 6], [5, 5]]
     ),
     "one_vertex": lambda rng: MultiGraph(1, []),
     "one_vertex_with_loops": lambda rng: MultiGraph(1, [[0, 0], [0, 0]]),
     "zero_edges": lambda rng: MultiGraph(5, []),
+    "zero_edges_many_vertices": lambda rng: MultiGraph(10_000, []),
 }
 
 
@@ -178,6 +192,23 @@ def test_components_match_networkx_on_adversarial_graphs(name):
     cen = components(graph)
     assert cen.sizes.tolist() == sizes
     assert np.array_equal(cen.component_id, labels)
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_GRAPHS))
+def test_numbering_matches_the_argsort_oracle(name):
+    # The key-sort numbering against the argsort-and-rank numbering of the
+    # census's own roots, and the roots against each component's smallest
+    # vertex.
+    graph = ADVERSARIAL_GRAPHS[name](np.random.default_rng(1982))
+    cen = components(graph)
+    sizes, ids = numbering_oracle(cen.parent)
+    assert np.array_equal(cen.sizes, sizes)
+    assert np.array_equal(cen.component_id, ids)
+    assert np.array_equal(cen.parent, cen.roots[cen.component_id])
+    smallest = np.full(cen.roots.size, graph.n)
+    np.minimum.at(smallest, cen.component_id, np.arange(graph.n))
+    assert np.array_equal(cen.roots, smallest)
+    assert np.array_equal(cen.giant_mask(), cen.component_id == 0)
 
 
 @given(multigraphs())

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gclab.census import components, property_mask
-from gclab.configuration import conf_distance, sample_degree_sequence, sample_multigraph
+from gclab.configuration import MultiGraph, conf_distance, sample_degree_sequence, sample_multigraph
 from gclab.distributions import Distribution
 from gclab.labcli import parse_property_spec
 from gclab.percolation import percolate
@@ -67,17 +67,20 @@ def test_components_peak(graph):
     # for the rows that survive round 1 (1.75 E with boolean-mask
     # survivors). Copying the loop-free edges before the first round and
     # re-reading both endpoints at once: 3.06 E. A take on the strided
-    # first-round columns: 2.0006 E.
+    # first-round columns: 2.0006 E. A final flatten that jumps only the
+    # movers of its first pass: 2.30 E; one that shrinks its movers every
+    # pass: 2.66 E.
     peak, _ = traced_peak(lambda: components(graph))
     assert peak <= 2.0 * graph.edges.nbytes
 
 
 def test_components_peak_when_components_finish_early():
     # On {0: 9/10, 2: 1/10} nine vertices in ten are finished roots from the
-    # start. Measured: 4.70 n-sized int64 arrays. Whole-array rounds with
-    # the cumsum renumbering of the roots: 6.60. Renumbering all surviving
-    # roots every round, which keeps the finished ones in its working set:
-    # 6.50 in its leanest form.
+    # start. Measured: 3.80 n-sized int64 arrays (4.70 with component ids
+    # built up front and numbered by argsort). Whole-array rounds with the
+    # cumsum renumbering of the roots: 6.60. Renumbering all surviving roots
+    # every round, which keeps the finished ones in its working set: 6.50
+    # in its leanest form.
     n = 100_000
     law = Distribution([(0, 0.9), (2, 0.1)])
     rng = np.random.default_rng(14)
@@ -86,13 +89,25 @@ def test_components_peak_when_components_finish_early():
     assert peak <= 5.5 * 8 * n
 
 
+def test_components_peak_when_every_vertex_is_a_root():
+    # Without edges the numbering holds n roots. Measured: 4.00 n-sized
+    # int64 arrays (the parents, the roots, the root counts and the sort
+    # keys). A stable argsort of the root sizes and a rank per root,
+    # gathered into component ids up front: 5.01.
+    n = 100_000
+    graph = MultiGraph(n, np.empty((0, 2), dtype=np.int64))
+    peak, _ = traced_peak(lambda: components(graph))
+    assert peak <= 4.5 * 8 * n
+
+
 def test_percolate_peak(graph):
-    # Measured: 2.06 E at p = 1 (the kept rows, then the (min, max) copy
-    # MultiGraph makes of them), 1.06 E at p = 0.5. A take or compress on
-    # the strided columns, or a second copy of the kept rows: 3.06 E or more.
+    # Measured: 1.56 E at p = 1 (the kept rows and the index array compress
+    # builds for them), 0.81 E at p = 0.5. Passing the kept rows through
+    # MultiGraph's check and (min, max) copy: 2.06 E. A take or compress on
+    # the strided columns: 3.06 E or more.
     rng = np.random.default_rng(15)
     peak, _ = traced_peak(lambda: percolate(graph, 1.0, rng))
-    assert peak <= 2.25 * graph.edges.nbytes
+    assert peak <= 1.75 * graph.edges.nbytes
 
 
 def test_property_mask_peak(graph):
