@@ -38,7 +38,6 @@ from .configuration import (
     Pairing,
     apply_switching,
     conf_distance,
-    degree_counts,
     is_simple,
     load_degree_sequence,
     sample_degree_sequence,
@@ -47,7 +46,6 @@ from .configuration import (
     sample_simple,
     save_degree_sequence,
     save_edge_list,
-    tail_mass,
     to_multigraph,
 )
 from .distributions import (

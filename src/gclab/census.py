@@ -21,47 +21,88 @@ from .configuration import MultiGraph
 
 
 class ComponentCensus:
-    """Component decomposition: sizes sorted descending, the components'
-    roots in that order, and each vertex's root (``parent``).
+    """Component decomposition: each vertex's root (``parent``), and each
+    component's root and size.
 
-    A root is its component's smallest vertex. Equal sizes are ordered by
-    it, so component 0 is always *the* largest component.
+    A root is its component's smallest vertex. ``components`` leaves the
+    components in the vertex order of their roots, and the readers below
+    work in that order and never sort. The component order, sizes
+    descending and equal sizes by root, is made on first read of ``sizes``
+    or ``roots``, by one sort of the keys (n - size)*n + root in the
+    census's own buffers; the keys stay below n^2, within int64 by
+    MAX_VERTICES. Either order puts the smallest root first among the
+    largest sizes, so argmax finds component 0, *the* largest component.
     """
 
-    __slots__ = ("sizes", "roots", "parent", "_component_id")
+    __slots__ = ("parent", "_roots", "_sizes", "_ordered")
 
-    def __init__(self, sizes: np.ndarray, roots: np.ndarray, parent: np.ndarray):
-        self.sizes = sizes
-        self.roots = roots
+    def __init__(self, parent: np.ndarray, roots: np.ndarray, sizes: np.ndarray):
         self.parent = parent
-        self._component_id = None
+        self._roots = roots
+        self._sizes = sizes
+        self._ordered = False
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Component sizes, descending."""
+        self._order()
+        return self._sizes
+
+    @property
+    def roots(self) -> np.ndarray:
+        """The components' roots, in component order."""
+        self._order()
+        return self._roots
+
+    def _order(self) -> None:
+        if self._ordered:
+            return
+        n, sizes, roots = self.parent.size, self._sizes, self._roots
+        # The keys (n - size)*n + root, sorted and decoded in place.
+        np.subtract(n, sizes, out=sizes)
+        sizes *= n
+        sizes += roots
+        sizes.sort()
+        np.divmod(sizes, n, out=(sizes, roots))
+        np.subtract(n, sizes, out=sizes)
+        self._ordered = True
 
     @property
     def largest(self) -> int:
         """L1: number of vertices in the largest component, 0 without vertices."""
-        return int(self.sizes[0]) if self.sizes.size else 0
+        return int(self._sizes.max()) if self._sizes.size else 0
 
     @property
     def second_largest(self) -> int:
         """L2, or 0 when there is a single component."""
-        return int(self.sizes[1]) if self.sizes.size > 1 else 0
-
-    @property
-    def component_id(self) -> np.ndarray:
-        """Entry v is the number of v's component; built on first read."""
-        if self._component_id is None:
-            rank = np.empty(self.parent.size, dtype=np.int64)
-            rank[self.roots] = np.arange(self.roots.size)
-            self._component_id = rank.take(self.parent)
-        return self._component_id
+        if not self._sizes.size:
+            return 0
+        # The larger of the maxima on either side of component 0.
+        giant = int(self._sizes.argmax())
+        rest = (self._sizes[:giant], self._sizes[giant + 1 :])
+        return max((int(part.max()) for part in rest if part.size), default=0)
 
     def vertices_in_components_of_size(self, k: int) -> int:
         """N_k: number of vertices lying in components with exactly k vertices."""
-        return int(k * np.count_nonzero(self.sizes == k))
+        return int(k * np.count_nonzero(self._sizes == k))
 
     def giant_mask(self) -> np.ndarray:
-        # roots[:1] is empty on the vertexless graph, and so is the mask.
-        return self.parent == self.roots[:1]
+        """The vertices of component 0; empty on the vertexless graph."""
+        if not self._sizes.size:
+            return np.zeros(0, dtype=bool)
+        return self.parent == self._roots[self._sizes.argmax()]
+
+    def size_window_mask(self, low: int, high: float) -> np.ndarray:
+        """The vertices whose component has between low and high vertices."""
+        # Decide per root, put each answer at its root, then gather bools by
+        # each vertex's root.
+        holds = self._sizes >= low
+        if high < math.inf:
+            holds &= self._sizes <= high
+        at_root = np.zeros(self.parent.size, dtype=bool)
+        at_root[self._roots] = holds
+        del holds
+        return at_root.take(self.parent)
 
 
 def components(graph: MultiGraph) -> ComponentCensus:
@@ -79,17 +120,21 @@ def components(graph: MultiGraph) -> ComponentCensus:
 
     The first round hooks along every edge, jumps the whole array once,
     then jumps only the vertices that moved (6-19% on configuration graphs);
-    the others already point at a root. Later rounds touch only the live
-    roots, the ends of the edges that are left. Only live roots are hooked,
-    and only onto live roots, so every pointer chain that starts at a live
-    root stays among the live roots, and jumping over those alone makes
-    each of them point at its root. Other vertices may then point at a root
-    that has since been hooked, so one whole-array flatten after the last
-    round finishes the job.
+    after it every vertex points at a root. In a later round every edge end
+    is a root, and only the larger ends (``hi``) are hooked, onto ends of
+    the same round, so every pointer chain that starts at a hooked end runs
+    through hooked ends to a root, and jumping the hooked ends alone makes
+    each of them point at a root. The round keeps its hooked ends.
 
-    The components are numbered by one sort of the keys (n - size)*n + root:
-    size descending, ties to the smaller root. The keys stay below n^2,
-    within int64 by MAX_VERTICES.
+    The other vertices may still point at a root that a later round hooked.
+    The relabel goes through the kept ends latest round first: an end of
+    round k points at a root of round k's end, which is final or an end of
+    a later round, already relabelled, so one two-step gather per round
+    makes every kept end point at its final root. Then one whole-array
+    gather finishes: every vertex points at a root of the first round's
+    end, and each such root is final or a kept, relabelled end. The census
+    holds the roots in vertex order and their sizes from one bincount; it
+    sorts them only when the component order is read.
     """
     n = graph.n
     # The first round reads the edge columns as they are: rows are
@@ -100,12 +145,13 @@ def components(graph: MultiGraph) -> ComponentCensus:
     jumped = parent.take(parent)
     moved = np.flatnonzero(jumped != parent)
     parent = jumped
-    del jumped  # else the name would keep this array alive past _flatten
+    del jumped  # else the name would keep this array alive past the final gather
     _jump(parent, moved)
     del moved
     # [] on the strided columns: take would first copy each to a contiguous one.
     lo = parent[lo]
     hi = parent[hi]
+    hooked = []
     while True:
         apart = lo != hi
         lo = lo.compress(apart)
@@ -116,36 +162,18 @@ def components(graph: MultiGraph) -> ComponentCensus:
         smaller = np.minimum(lo, hi)
         np.maximum(lo, hi, out=hi)
         lo = smaller
-        live = np.zeros(n, dtype=bool)
-        live[lo] = True
-        live[hi] = True
-        live = np.flatnonzero(live)
         np.minimum.at(parent, hi, lo)
-        _jump(parent, live)
-        del live
+        _jump(parent, hi)
+        hooked.append(hi)
         lo = parent.take(lo)
         hi = parent.take(hi)
-    parent = _flatten(parent)
+    while hooked:
+        ends = hooked.pop()
+        parent[ends] = parent.take(parent.take(ends))
+        del ends  # else the name would keep round 2's ends past the final gather
+    parent = parent.take(parent)
     roots = np.flatnonzero(parent == np.arange(n))
-    key = np.bincount(parent, minlength=n).take(roots)
-    np.subtract(n, key, out=key)
-    key *= n
-    key += roots
-    key.sort()
-    # Decoded in place, into the keys and the roots' own buffer: the census
-    # gets no freshly allocated array here.
-    sizes, roots = np.divmod(key, n, out=(key, roots))
-    np.subtract(n, sizes, out=sizes)
-    return ComponentCensus(sizes, roots, parent)
-
-
-def _flatten(parent: np.ndarray) -> np.ndarray:
-    """Jump pointers over the whole array until each vertex points at a root."""
-    while True:
-        jumped = parent.take(parent)
-        if np.array_equal(jumped, parent):
-            return jumped
-        parent = jumped
+    return ComponentCensus(parent, roots, np.bincount(parent, minlength=n).take(roots))
 
 
 def _jump(parent: np.ndarray, movers: np.ndarray) -> None:
@@ -233,16 +261,7 @@ def property_mask(
         mask = np.ones(graph.n, dtype=bool)
     else:
         census = census if census is not None else components(graph)
-        # Decide per component, put each answer at its root, then gather
-        # bools by each vertex's root, not int64 sizes by component ids.
-        holds = census.sizes >= low
-        if high < math.inf:
-            holds &= census.sizes <= high
-        at_root = np.zeros(graph.n, dtype=bool)
-        at_root[census.roots] = holds
-        del holds
-        mask = at_root.take(census.parent)
-        del at_root
+        mask = census.size_window_mask(low, high)
     if root_degrees or balls:
         degrees = graph.degrees()
         for d in root_degrees:

@@ -202,12 +202,6 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, m={self.num_edges})"
 
 
-def degree_counts(ds: DegreeSequence) -> dict[int, int]:
-    """Map degree -> number of vertices with that degree."""
-    values, counts = np.unique(ds.degrees, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
-
-
 def conf_distance(ds: DegreeSequence, dist: Distribution) -> float:
     """Edge-weighted l1 distance between the empirical degree law and dist.
 
@@ -225,12 +219,6 @@ def conf_distance(ds: DegreeSequence, dist: Distribution) -> float:
     i = np.arange(width, dtype=np.float64)
     d0 = float(np.abs(i * empirical - i * target).sum())
     return max(d0, 1.0 / n)
-
-
-def tail_mass(ds: DegreeSequence, cutoff: int) -> float:
-    """Per-vertex stub mass sitting on degrees >= cutoff: sum_{i>=C} i*n_i / n."""
-    degs = ds.degrees
-    return float(degs[degs >= cutoff].sum()) / len(ds)
 
 
 def sample_degree_sequence(dist: Distribution, n: int, rng: np.random.Generator) -> DegreeSequence:

@@ -497,6 +497,25 @@ def random_multigraph(rng: np.random.Generator, n: int, m: int) -> MultiGraph:
     return MultiGraph(n, edges)
 
 
+def component_id(census) -> np.ndarray:
+    """Entry v is the number of v's component in the census's order."""
+    rank = np.empty(census.parent.size, dtype=np.int64)
+    rank[census.roots] = np.arange(census.roots.size)
+    return rank.take(census.parent)
+
+
+def degree_counts(ds: DegreeSequence) -> dict[int, int]:
+    """Map degree -> number of vertices with that degree."""
+    values, counts = np.unique(ds.degrees, return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}
+
+
+def tail_mass(ds: DegreeSequence, cutoff: int) -> float:
+    """Per-vertex stub mass sitting on degrees >= cutoff: sum_{i>=C} i*n_i / n."""
+    degs = ds.degrees
+    return float(degs[degs >= cutoff].sum()) / len(ds)
+
+
 def vertices_in_components_of_size_at_least(census, k: int) -> int:
     """N_{>=k}: number of vertices in components with at least k vertices."""
     return int(census.sizes[census.sizes >= k].sum())

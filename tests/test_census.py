@@ -23,6 +23,7 @@ from gclab.distributions import Distribution
 
 from helpers import (
     InsufficientRadius,
+    component_id,
     evaluate_property,
     neighborhood,
     radius,
@@ -73,8 +74,8 @@ def test_components_tie_break_by_smallest_vertex():
     g = MultiGraph(6, [[1, 2], [0, 5]])
     cen = components(g)
     assert cen.largest == 2 and cen.second_largest == 2
-    assert cen.component_id[0] == 0
-    assert cen.component_id[1] == 1
+    assert component_id(cen)[0] == 0
+    assert component_id(cen)[1] == 1
 
 
 def test_components_of_the_vertexless_graph():

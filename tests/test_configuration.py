@@ -9,7 +9,6 @@ from gclab.configuration import (
     Pairing,
     apply_switching,
     conf_distance,
-    degree_counts,
     is_simple,
     load_degree_sequence,
     sample_degree_sequence,
@@ -18,14 +17,13 @@ from gclab.configuration import (
     sample_simple,
     save_degree_sequence,
     save_edge_list,
-    tail_mass,
     to_multigraph,
 )
 from gclab.census import MaxDegreeBall, RootDegree, Conjunction, components, property_counts
 from gclab.distributions import Distribution
 from gclab.errors import Exhausted, SamePair, SpecParseError
 
-from helpers import all_matchings, matching_key, random_distribution
+from helpers import all_matchings, degree_counts, matching_key, random_distribution, tail_mass
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse import triu
 
-from gclab.census import MaxDegreeBall, components, property_mask
+from gclab.census import ComponentSizeAtLeast, ComponentSizeExactly, MaxDegreeBall, components, property_mask
 from gclab.configuration import MultiGraph, is_simple, sample_degree_sequence, sample_pairing, to_multigraph
 from gclab.distributions import Distribution
 
-from helpers import neighborhood, numbering_oracle
+from helpers import component_id, neighborhood, numbering_oracle
 
 
 @st.composite
@@ -97,9 +97,9 @@ def test_components_match_networkx(graph):
     assert cen.sizes.tolist() == [len(c) for c in expected]
     assert cen.largest == len(expected[0])
     for label, comp in enumerate(expected):
-        assert set(np.flatnonzero(cen.component_id == label).tolist()) == comp
+        assert set(np.flatnonzero(component_id(cen) == label).tolist()) == comp
     holds_zero = next(c for c in expected if 0 in c)
-    assert (cen.component_id[0] == 0) == (len(holds_zero) == cen.largest)
+    assert (component_id(cen)[0] == 0) == (len(holds_zero) == cen.largest)
 
 
 def networkx_census(graph: MultiGraph) -> tuple[list[int], np.ndarray]:
@@ -168,6 +168,32 @@ def _tied_sizes_under_random_labels(rng):
     return MultiGraph(n, labels[steps])
 
 
+def _two_largest_tie_away_from_vertex_0(rng):
+    # Vertex 0 is alone; two 4000-cycles under random labels tie for the
+    # largest, and the one holding the smaller root is the giant. 1000 more
+    # vertices sit on paths of two.
+    labels = 1 + rng.permutation(9000)
+    cycles = labels[:8000].reshape(2, -1)
+    edges = [np.column_stack([cycle, np.roll(cycle, -1)]) for cycle in cycles]
+    edges.append(labels[8000:].reshape(-1, 2))
+    return MultiGraph(9001, np.concatenate(edges))
+
+
+def _second_largest_holds_vertex_0(rng):
+    # Vertex 0 starts a 2000-vertex path, L2, whose root lies before the
+    # giant's, a 5000-cycle under random labels. 2000 more vertices sit on
+    # paths of two.
+    labels = 1 + rng.permutation(8999)
+    path = np.concatenate([[0], labels[:1999]])
+    cycle = labels[1999:6999]
+    edges = [
+        np.column_stack([path[:-1], path[1:]]),
+        np.column_stack([cycle, np.roll(cycle, -1)]),
+        labels[6999:].reshape(-1, 2),
+    ]
+    return MultiGraph(9000, np.concatenate(edges))
+
+
 ADVERSARIAL_GRAPHS = {
     "random_path": _random_path,
     "isolated_vertices_around_a_path": _isolated_vertices_around_a_path,
@@ -175,6 +201,8 @@ ADVERSARIAL_GRAPHS = {
     "star_with_largest_centre": _star_with_largest_centre,
     "interleaved_cycles": _interleaved_cycles,
     "tied_sizes_under_random_labels": _tied_sizes_under_random_labels,
+    "two_largest_tie_away_from_vertex_0": _two_largest_tie_away_from_vertex_0,
+    "second_largest_holds_vertex_0": _second_largest_holds_vertex_0,
     "parallel_edges_and_loops_only": lambda rng: MultiGraph(
         7, [[0, 0], [2, 1], [1, 2], [1, 2], [3, 3], [3, 3], [6, 4], [4, 6], [5, 5]]
     ),
@@ -191,7 +219,7 @@ def test_components_match_networkx_on_adversarial_graphs(name):
     sizes, labels = networkx_census(graph)
     cen = components(graph)
     assert cen.sizes.tolist() == sizes
-    assert np.array_equal(cen.component_id, labels)
+    assert np.array_equal(component_id(cen), labels)
 
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL_GRAPHS))
@@ -203,12 +231,51 @@ def test_numbering_matches_the_argsort_oracle(name):
     cen = components(graph)
     sizes, ids = numbering_oracle(cen.parent)
     assert np.array_equal(cen.sizes, sizes)
-    assert np.array_equal(cen.component_id, ids)
-    assert np.array_equal(cen.parent, cen.roots[cen.component_id])
+    assert np.array_equal(component_id(cen), ids)
+    assert np.array_equal(cen.parent, cen.roots[component_id(cen)])
     smallest = np.full(cen.roots.size, graph.n)
-    np.minimum.at(smallest, cen.component_id, np.arange(graph.n))
+    np.minimum.at(smallest, component_id(cen), np.arange(graph.n))
     assert np.array_equal(cen.roots, smallest)
-    assert np.array_equal(cen.giant_mask(), cen.component_id == 0)
+    assert np.array_equal(cen.giant_mask(), component_id(cen) == 0)
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_GRAPHS))
+def test_readers_agree_with_the_component_order(name):
+    # Each reader gets a fresh census, whose component order is not built
+    # yet, and must not build it.
+    graph = ADVERSARIAL_GRAPHS[name](np.random.default_rng(1982))
+    ordered = components(graph)
+    sizes, ids = ordered.sizes, component_id(ordered)
+
+    def read(reader):
+        cen = components(graph)
+        value = reader(cen)
+        assert not cen._ordered
+        return value
+
+    assert read(lambda cen: cen.largest) == sizes[0]
+    assert read(lambda cen: cen.second_largest) == (sizes[1] if sizes.size > 1 else 0)
+    present = np.unique(sizes).tolist()
+    absent = 1 + sizes[0]
+    counts = read(lambda cen: [cen.vertices_in_components_of_size(k) for k in present + [absent]])
+    assert counts == [k * int(np.count_nonzero(sizes == k)) for k in present] + [0]
+    assert np.array_equal(read(lambda cen: cen.giant_mask()), ids == 0)
+    component_size = sizes.take(ids)
+    for prop, expected in (
+        (ComponentSizeExactly(int(sizes[0])), component_size == sizes[0]),
+        (ComponentSizeAtLeast(2), component_size >= 2),
+    ):
+        assert np.array_equal(read(lambda cen: property_mask(graph, prop, cen)), expected), prop
+
+
+def test_tied_giant_is_the_component_with_the_smaller_root():
+    graph = ADVERSARIAL_GRAPHS["two_largest_tie_away_from_vertex_0"](np.random.default_rng(1982))
+    cen = components(graph)
+    assert cen.largest == cen.second_largest == 4000
+    roots, sizes = np.unique(cen.parent, return_counts=True)
+    tied = roots[sizes == 4000]
+    assert np.array_equal(cen.giant_mask(), cen.parent == tied.min())
+    assert cen.roots[:2].tolist() == tied.tolist() and cen.roots[0] != 0
 
 
 @given(multigraphs())
