@@ -75,6 +75,7 @@ from .percolation import (
     ColoredGraph,
     color_edges,
     percolate,
+    retention_levels,
     split,
 )
 

@@ -211,32 +211,41 @@ def cmd_percolation_sweep(
     """Percolate one graph per trial over the whole grid of retention probs.
 
     The graph stream is keyed by the trial alone (so the p = 1 column matches
-    ``giant`` runs with the same master seed); each grid point colors edges
-    from its own substream keyed by (trial, 1 + grid index).
+    ``giant`` runs with the same master seed). Each edge gets one uniform
+    mark from the substream keyed by (trial, 1), and the graph at p keeps
+    the rows marked below p, so a row depends on (seed, trial, p) alone and
+    a repeated p repeats its row. The distinct p are visited in ascending
+    order, and each census grows from the last by the rows that enter at p.
     ``conf_distance_red`` is the configuration distance from the retained
     degrees to thin(dist, p): its concentration is what reduces the
     percolated graph to a configuration draw on the thinned law.
     """
     for p in p_grid:
         distributions.check_probability(p)
-    thinned = {p: distributions.thin(dist, p) for p in p_grid}
+    grid = sorted(set(p_grid))
+    thinned = {p: distributions.thin(dist, p) for p in grid}
     predictions = {p: _predicted_rho(law) for p, law in thinned.items()}
     records = []
     for trial in range(trials):
         rng_graph = trial_rng(seed, trial)
         ds = configuration.sample_degree_sequence(dist, n, rng_graph)
         graph = configuration.sample_multigraph(ds, rng_graph)
-        for index, p in enumerate(p_grid):
-            red_graph = percolation.percolate(graph, p, trial_rng(seed, trial, 1 + index))
-            cen = census.components(red_graph)
-            distance = configuration.conf_distance(red_graph.degree_sequence(), thinned[p])
+        levels = percolation.retention_levels(graph, grid, trial_rng(seed, trial, 1))
+        cen, degrees, observed = None, np.zeros(n, dtype=np.int64), {}
+        for p, level in zip(grid, levels):
+            cen = census.components(level, start=cen)
+            degrees = degrees + level.degrees()
+            distance = configuration.conf_distance(configuration.DegreeSequence(degrees), thinned[p])
+            observed[p] = (cen.largest / n, cen.second_largest / n, distance)
+        for p in p_grid:
+            l1, l2, distance = observed[p]
             records.append(
                 ExperimentRecord(
                     experiment="sweep",
                     params={"n": n, "trial": trial, "seed": seed, "p": p},
                     observed={
-                        "L1_over_n": cen.largest / n,
-                        "L2_over_n": cen.second_largest / n,
+                        "L1_over_n": l1,
+                        "L2_over_n": l2,
                         "conf_distance_red": distance,
                     },
                     predicted={

@@ -4,7 +4,9 @@ Coloring each edge red with probability p and keeping the red subgraph is
 the same as deleting each edge independently; the blue subgraph is what was
 deleted. Conditioned on the red degree sequence, the two subgraphs are
 independent configuration-model draws, which is what makes the thinned
-degree law the right predictor for the percolated graph.
+degree law the right predictor for the percolated graph. One uniform mark
+per edge couples every retention probability at once: the graph at p keeps
+the rows marked below p, so a grid of p is a nested sequence of graphs.
 """
 
 from __future__ import annotations
@@ -54,10 +56,32 @@ def split(colored: ColoredGraph):
     )
 
 
+def retention_levels(graph: MultiGraph, ps: list[float], rng: np.random.Generator) -> list[MultiGraph]:
+    """The graph percolated at each of ps, ascending and distinct, as nested
+    levels: one uniform mark per edge row from one ``rng.random`` draw, and
+    level k holds the rows with ps[k-1] <= mark < ps[k] (mark < ps[0] for
+    level 0).
+
+    Levels 0..k together keep each edge independently with probability
+    ps[k], and they are the same rows for every grid that holds ps[k]
+    (Newman and Ziff 2001).
+    """
+    for p in ps:
+        check_probability(p)
+    if any(a >= b for a, b in zip(ps, ps[1:])):
+        raise ValueError(f"retention probabilities must be ascending and distinct, got {ps}")
+    marks = rng.random(graph.num_edges)
+    below = [marks < p for p in ps]
+    del marks  # else it would sit beside the kept rows: half the edge array's bytes
+    entered = below[:1] + [now ^ before for before, now in zip(below, below[1:])]
+    return [_subgraph(graph, keep) for keep in entered]
+
+
 def percolate(graph: MultiGraph, p: float, rng: np.random.Generator) -> MultiGraph:
-    """Keep each edge independently with probability p (the red subgraph)."""
-    colored = color_edges(graph, p, rng)
-    return _subgraph(graph, colored.red)
+    """Keep each edge independently with probability p (the red subgraph):
+    the one level of ``retention_levels`` at [p]."""
+    (red,) = retention_levels(graph, [p], rng)
+    return red
 
 
 def _subgraph(graph: MultiGraph, keep: np.ndarray) -> MultiGraph:

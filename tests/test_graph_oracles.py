@@ -4,7 +4,7 @@ parallel edges; networkx shares no code with the numpy/scipy paths."""
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.sparse import triu
 
@@ -276,6 +276,55 @@ def test_tied_giant_is_the_component_with_the_smaller_root():
     tied = roots[sizes == 4000]
     assert np.array_equal(cen.giant_mask(), cen.parent == tied.min())
     assert cen.roots[:2].tolist() == tied.tolist() and cen.roots[0] != 0
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two multigraphs on one vertex set; either may have no edges."""
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    rows = st.lists(st.tuples(vertex, vertex), max_size=2 * n)
+    return MultiGraph(n, draw(rows)), MultiGraph(n, draw(rows))
+
+
+def assert_grows_to_the_union(a: MultiGraph, b: MultiGraph) -> None:
+    """The census of b grown from a's is the census of a's and b's rows
+    together, from scratch and by networkx, and a's census is unchanged."""
+    union = MultiGraph(a.n, np.concatenate([a.edges, b.edges]))
+    start = components(a)
+    grown = components(b, start=start)
+    assert np.array_equal(start.parent, components(a).parent)
+    fresh = components(union)
+    assert np.array_equal(grown.parent, fresh.parent)
+    assert np.array_equal(grown.roots, fresh.roots)
+    assert np.array_equal(grown.sizes, fresh.sizes)
+    sizes, labels = networkx_census(union)
+    assert grown.sizes.tolist() == sizes
+    assert np.array_equal(component_id(grown), labels)
+
+
+@given(graph_pairs())
+@example((MultiGraph(4, []), MultiGraph(4, [[0, 1], [2, 2], [3, 2]])))
+@example((MultiGraph(4, [[1, 1], [0, 3], [3, 0]]), MultiGraph(4, [])))
+@example((MultiGraph(3, []), MultiGraph(3, [])))
+def test_census_grown_from_a_start_matches_the_union(pair):
+    assert_grows_to_the_union(*pair)
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_GRAPHS))
+def test_census_grown_from_half_the_rows_matches_the_union(name):
+    # Each row goes to one half at random, so the start census is in pieces
+    # that the other half joins; on the random path that takes many rounds.
+    graph = ADVERSARIAL_GRAPHS[name](np.random.default_rng(1982))
+    first = np.random.default_rng(2001).random(graph.num_edges) < 0.5
+    halves = [MultiGraph(graph.n, graph.edges[keep]) for keep in (first, ~first)]
+    assert_grows_to_the_union(*halves)
+    assert_grows_to_the_union(*halves[::-1])
+
+
+def test_start_census_must_cover_the_same_vertices():
+    with pytest.raises(ValueError):
+        components(MultiGraph(3, [[0, 1]]), start=components(MultiGraph(4, [])))
 
 
 @given(multigraphs())

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import gclab
-from gclab import branching, configuration, labcli
+from gclab import branching, census, configuration, labcli
 from gclab.census import Conjunction, MaxDegreeBall, RootDegree, components
 from gclab.configuration import (
     conf_distance,
@@ -18,7 +18,7 @@ from gclab.configuration import (
 )
 from gclab.distributions import Distribution, thin
 from gclab.errors import SpecParseError, UnboundedRadius
-from gclab.percolation import color_edges, split
+from gclab.percolation import ColoredGraph, split
 
 
 def write_spec(tmp_path, name, masses):
@@ -171,22 +171,74 @@ def test_sweep_full_retention_matches_giant(mixture_spec, capsys):
 
 
 def test_sweep_matches_split_reference():
-    # Recompute each record from the red half of split and a fresh thinning.
+    # Recompute each record from the red half of split, red being the rows
+    # whose mark in the trial's one draw lies below p, with a fresh census
+    # and degree count. The grid is unsorted and repeats a p.
     dist = Distribution([(1, 0.3), (2, 0.2), (4, 0.3), (6, 0.2)])
-    n, seed, p_grid = 2000, 7, [0.4, 0.8]
+    n, seed, p_grid = 2000, 7, [0.8, 0.4, 0.0, 1.0, 0.4, 0.55]
     records = iter(labcli.cmd_percolation_sweep(dist, n, p_grid, trials=2, seed=seed))
     for trial in range(2):
         rng = labcli.trial_rng(seed, trial)
         graph = to_multigraph(sample_pairing(sample_degree_sequence(dist, n, rng), rng))
-        for index, p in enumerate(p_grid):
-            colored = color_edges(graph, p, labcli.trial_rng(seed, trial, 1 + index))
-            red_graph, _, dred, _ = split(colored)
+        marks = labcli.trial_rng(seed, trial, 1).random(graph.num_edges)
+        for p in p_grid:
+            red_graph, _, dred, _ = split(ColoredGraph(graph, marks < p))
             cen = components(red_graph)
-            observed = next(records).observed
-            assert observed["L1_over_n"] == cen.largest / n
-            assert observed["L2_over_n"] == cen.second_largest / n
-            assert observed["conf_distance_red"] == conf_distance(dred, thin(dist, p))
+            record = next(records)
+            assert (record.params["trial"], record.params["p"]) == (trial, p)
+            assert record.observed["L1_over_n"] == cen.largest / n
+            assert record.observed["L2_over_n"] == cen.second_largest / n
+            assert record.observed["conf_distance_red"] == conf_distance(dred, thin(dist, p))
     assert next(records, None) is None
+
+
+def test_sweep_rows_depend_on_p_alone(mixture_spec, capsys):
+    # An unsorted grid with a repeated p gives each p the row a run at that
+    # p alone gives.
+    argv = ["sweep", "--dist", mixture_spec, "--n", "3000", "--trials", "2", "--seed", "13"]
+    grid = ["0.7", "0.3", "0.5", "0.5"]
+    assert labcli.main(argv + ["--p", ",".join(grid)]) == 0
+    rows = read_csv(capsys.readouterr().out)
+    assert len(rows) == 2 * len(grid)
+    for p in set(grid):
+        assert labcli.main(argv + ["--p", p]) == 0
+        alone = read_csv(capsys.readouterr().out)
+        for trial in range(2):
+            for index, q in enumerate(grid):
+                if q == p:
+                    assert rows[trial * len(grid) + index] == alone[trial]
+
+
+def test_sweep_largest_component_grows_with_p(regular3):
+    # The graphs of one trial are nested, so L1 can only grow with p.
+    p_grid = [0.9, 0.2, 0.5, 0.45, 0.55, 0.35, 0.65, 0.1, 1.0]
+    records = labcli.cmd_percolation_sweep(regular3, 3000, p_grid, trials=3, seed=21)
+    for trial in range(3):
+        curve = sorted(
+            (r.params["p"], r.observed["L1_over_n"]) for r in records if r.params["trial"] == trial
+        )
+        l1 = [value for _, value in curve]
+        assert l1 == sorted(l1)
+        assert l1[0] < l1[-1]
+
+
+def test_sweep_takes_one_census_per_distinct_p(monkeypatch, mixture):
+    # Each census grows from the previous p's, through the module attribute
+    # that a tracer replaces.
+    calls = []
+
+    def counting(graph, start=None):
+        result = components(graph, start=start)
+        calls.append((start, result))
+        return result
+
+    monkeypatch.setattr(census, "components", counting)
+    labcli.cmd_percolation_sweep(mixture, 500, [0.6, 0.2, 0.6, 1.0, 0.0], trials=3, seed=3)
+    assert len(calls) == 3 * 4
+    for trial in range(3):
+        starts = [start for start, _ in calls[4 * trial : 4 * trial + 4]]
+        results = [result for _, result in calls[4 * trial : 4 * trial + 4]]
+        assert starts == [None] + results[:-1]
 
 
 def test_sweep_zero_retention(mixture_spec, capsys):

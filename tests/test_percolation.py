@@ -20,6 +20,7 @@ from gclab.percolation import (
     ColoredGraph,
     color_edges,
     percolate,
+    retention_levels,
     split,
 )
 
@@ -146,6 +147,41 @@ def test_percolation_keeps_the_red_rows_in_order(p):
         rows[red] = red_g.edges
         rows[~red] = blue_g.edges
         np.testing.assert_array_equal(rows, g.edges)
+
+
+def test_retention_levels_hold_the_rows_marked_in_their_band():
+    # One draw of marks; level k keeps, in order, the rows with
+    # ps[k-1] <= mark < ps[k], and levels 0..k are percolate at ps[k].
+    graphs = [
+        MultiGraph(5, []),
+        MultiGraph(6, [[0, 0], [0, 1], [1, 0], [2, 3], [3, 3], [2, 3], [4, 5], [5, 5]]),
+        random_multigraph(np.random.default_rng(3), n=50, m=400),
+    ]
+    ps = [0.0, 0.25, 0.3, 0.7, 1.0]
+    for seed, g in enumerate(graphs):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        marks = reference.random(g.num_edges)
+        levels = retention_levels(g, ps, rng)
+        assert rng.random() == reference.random()
+        assert len(levels) == len(ps)
+        low = 0.0
+        for k, (p, level) in enumerate(zip(ps, levels)):
+            assert level.n == g.n
+            np.testing.assert_array_equal(level.edges, g.edges[(low <= marks) & (marks < p)])
+            kept = percolate(g, p, np.random.default_rng(seed))
+            rows = np.concatenate([lv.edges for lv in levels[: k + 1]])
+            assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, kept.edges.tolist()))
+            low = p
+
+
+def test_retention_levels_refuse_a_grid_out_of_order(rng):
+    g = MultiGraph(3, [[0, 1], [1, 2]])
+    for ps in ([0.5, 0.3], [0.4, 0.4]):
+        with pytest.raises(ValueError):
+            retention_levels(g, ps, rng)
+    with pytest.raises(BadProbability):
+        retention_levels(g, [0.5, 1.5], rng)
+    assert retention_levels(g, [], rng) == []
 
 
 # ---------------------------------------------------------------------------
