@@ -44,8 +44,6 @@ from .configuration import (
     sample_multigraph,
     sample_pairing,
     sample_simple,
-    save_degree_sequence,
-    save_edge_list,
     to_multigraph,
 )
 from .distributions import (

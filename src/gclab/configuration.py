@@ -344,20 +344,3 @@ def load_degree_sequence(path) -> DegreeSequence:
     except (OSError, ValueError) as exc:
         raise SpecParseError(f"cannot read a degree sequence from {path}: {exc}") from exc
 
-
-def save_degree_sequence(ds: DegreeSequence, path, fmt: str = "text") -> None:
-    """Write a degree sequence as text (one integer per line) or a JSON array."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if fmt == "json":
-            fh.write(json.dumps(ds.degrees.tolist()))
-        elif fmt == "text":
-            fh.write("\n".join(str(d) for d in ds.degrees.tolist()) + "\n")
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-
-
-def save_edge_list(graph: MultiGraph, path) -> None:
-    """Export edges as ``u v`` lines; a loop at v appears as ``v v``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in graph.edges.tolist():
-            fh.write(f"{u} {v}\n")

@@ -64,24 +64,22 @@ def retention_levels(graph: MultiGraph, ps: list[float], rng: np.random.Generato
 
     Levels 0..k together keep each edge independently with probability
     ps[k], and they are the same rows for every grid that holds ps[k]
-    (Newman and Ziff 2001).
+    (Newman and Ziff 2001). The levels are cut one band at a time, so the
+    peak does not depend on the grid's length: the marks, one band's mask
+    and the kept rows.
     """
     for p in ps:
         check_probability(p)
     if any(a >= b for a, b in zip(ps, ps[1:])):
         raise ValueError(f"retention probabilities must be ascending and distinct, got {ps}")
     marks = rng.random(graph.num_edges)
-    below = [marks < p for p in ps]
-    del marks  # else it would sit beside the kept rows: half the edge array's bytes
-    entered = below[:1] + [now ^ before for before, now in zip(below, below[1:])]
-    return [_subgraph(graph, keep) for keep in entered]
+    return [_subgraph(graph, (lo <= marks) & (marks < hi)) for lo, hi in zip([0.0, *ps], ps)]
 
 
 def percolate(graph: MultiGraph, p: float, rng: np.random.Generator) -> MultiGraph:
-    """Keep each edge independently with probability p (the red subgraph):
-    the one level of ``retention_levels`` at [p]."""
-    (red,) = retention_levels(graph, [p], rng)
-    return red
+    """Keep each edge independently with probability p: the red half of
+    ``color_edges``."""
+    return _subgraph(graph, color_edges(graph, p, rng).red)
 
 
 def _subgraph(graph: MultiGraph, keep: np.ndarray) -> MultiGraph:
