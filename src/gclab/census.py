@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import MultiGraph
+from .configuration import BLOCK, MultiGraph
 
 
 class ComponentCensus:
@@ -130,7 +130,9 @@ def components(graph: MultiGraph, start: ComponentCensus | None = None) -> Compo
     through hooked ends to a root, and jumping the hooked ends alone makes
     each of them point at a root. The round keeps its hooked ends. A
     ``start`` census points every vertex at a root already, so its copy
-    skips the first round.
+    skips the first round. Each re-read goes a block of rows at a time and
+    keeps only the rows whose ends differ (``_roots_apart``), so both ends
+    of every row are never held at once.
 
     The other vertices may still point at a root that a later round hooked.
     The relabel goes through the kept ends latest round first: an end of
@@ -160,25 +162,16 @@ def components(graph: MultiGraph, start: ComponentCensus | None = None) -> Compo
         raise ValueError(f"start census has {start.parent.size} vertices, the graph {n}")
     else:
         parent = start.parent.copy()
-    # [] on the strided columns: take would first copy each to a contiguous one.
-    lo = parent[lo]
-    hi = parent[hi]
+    lo, hi = _roots_apart(parent, lo, hi)
     hooked = []
-    while True:
-        apart = lo != hi
-        lo = lo.compress(apart)
-        hi = hi.compress(apart)
-        del apart
-        if not lo.size:
-            break
+    while lo.size:
         smaller = np.minimum(lo, hi)
         np.maximum(lo, hi, out=hi)
         lo = smaller
         np.minimum.at(parent, hi, lo)
         _jump(parent, hi)
         hooked.append(hi)
-        lo = parent.take(lo)
-        hi = parent.take(hi)
+        lo, hi = _roots_apart(parent, lo, hi)
     while hooked:
         ends = hooked.pop()
         parent[ends] = parent.take(parent.take(ends))
@@ -189,6 +182,36 @@ def components(graph: MultiGraph, start: ComponentCensus | None = None) -> Compo
     counts = np.bincount(parent, minlength=n)
     roots = np.flatnonzero(counts != 0)
     return ComponentCensus(parent, roots, counts.take(roots))
+
+
+def _roots_apart(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ends u[i], v[i] read as parent[u[i]], parent[v[i]], for the i
+    whose two reads differ, in order.
+
+    Two passes, a block at a time: the first flags the i whose reads
+    differ, the second reads just those into arrays of the exact length, so
+    the flags and the survivors are all that is held at full length.
+    Joining block-sized pieces of the survivors instead holds them twice,
+    and where most pairs survive the freed pieces stay in the C heap: 17-39
+    MB more resident memory for ``giant`` on {1: 1/2, 99: 1/2} at n = 120000.
+    """
+    apart = np.empty(u.size, dtype=bool)
+    for first in range(0, u.size, BLOCK):
+        # [] on the strided edge columns: take would first copy each to a
+        # contiguous one.
+        block = slice(first, first + BLOCK)
+        np.not_equal(parent[u[block]], parent[v[block]], out=apart[block])
+    size = np.count_nonzero(apart)
+    lo, hi = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    filled = 0
+    for first in range(0, u.size, BLOCK):
+        kept = np.flatnonzero(apart[first : first + BLOCK])
+        kept += first
+        stop = filled + kept.size
+        lo[filled:stop] = parent[u[kept]]
+        hi[filled:stop] = parent[v[kept]]
+        filled = stop
+    return lo, hi
 
 
 def _jump(parent: np.ndarray, movers: np.ndarray) -> None:

@@ -17,15 +17,20 @@ from .distributions import Distribution, mean, sample
 from .errors import Exhausted, SamePair, SpecParseError
 
 # Largest n + n*E(D), vertices plus expected stubs, that
-# sample_degree_sequence draws for. Peak memory of one giant, sweep or
-# local-census run grows by at most about 24 bytes per vertex or stub: on
-# {1: 1/2, 99: 1/2} giant and local-census peaked 91 MB higher at
-# n = 120000 than at n = 40000 (4.08e6 more elements, 23 bytes each) and
-# sweep 19 bytes each; on {1: 1/2, 3: 1/2} from n = 10^6 to 3*10^6 giant
-# and local-census took 17 bytes per element and sweep 24 (2-core x86
-# host, numpy 2.4). The cap holds a run near 1.2 GB, and keeps the pair
-# keys u*n + v below 2.5e15, far from int64 overflow.
+# sample_degree_sequence draws for. Peak resident memory of one giant,
+# sweep or local-census run grows by at most about 30 bytes per vertex or
+# stub: from n = 40000 to 120000 on {1: 1/2, 99: 1/2} (4.08e6 more
+# elements) giant and local-census took 24 bytes each and sweep 18; from
+# n = 10^6 to 3*10^6 on {1: 1/2, 3: 1/2} giant took 16, local-census 13
+# and a three-value sweep 30 (ru_maxrss of one CLI run, 2-core x86 host,
+# numpy 2.4). The cap holds a run near 1.5 GB, and keeps the pair keys
+# u*n + v below 2.5e15, far from int64 overflow.
 MAX_GRAPH_ELEMENTS = 5 * 10**7
+
+# Vertices or edge rows per block where a stage streams over the graph (the
+# stub owners, the rows' (min, max) order, the census's re-reads of the
+# ends), so its temporaries are a few hundred KB, not edge-sized.
+BLOCK = 8192
 
 # Largest vertex count of a MultiGraph: the pair keys u*n + v of is_simple
 # and adjacency_csr reach n^2 - 1, which must not wrap int64.
@@ -83,10 +88,6 @@ class DegreeSequence:
         """Number of edges m = (sum of degrees) / 2."""
         return int(self.degrees.sum()) // 2
 
-    @property
-    def max_degree(self) -> int:
-        return int(self.degrees.max())
-
 
 class Pairing:
     """Perfect matching on the stub set {0, ..., 2m-1}.
@@ -121,19 +122,26 @@ class MultiGraph:
     __slots__ = ("n", "edges", "_adj", "_inc")
 
     def __init__(self, n: int, edges):
-        self.n = int(n)
-        if self.n > MAX_VERTICES:
+        self._own(int(n), _int64_array(edges, "edge endpoints").reshape(-1, 2).copy())
+
+    def _own(self, n: int, rows: np.ndarray) -> MultiGraph:
+        """Check rows, a writable int64 (m, 2) array that no one else holds,
+        put each in (min, max) order in place, a block at a time, and keep
+        them as the edges; returns self. The checks are reductions, so the
+        blocks' min columns are all this allocates."""
+        if n > MAX_VERTICES:
             raise ValueError(
-                f"n = {self.n} exceeds MAX_VERTICES = {MAX_VERTICES}: "
+                f"n = {n} exceeds MAX_VERTICES = {MAX_VERTICES}: "
                 "the pair keys u*n + v would wrap int64"
             )
-        arr = _int64_array(edges, "edge endpoints").reshape(-1, 2)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n):
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
             raise ValueError("edge endpoint outside vertex range")
-        ordered = np.empty(arr.shape, dtype=np.int64)
-        np.minimum(arr[:, 0], arr[:, 1], out=ordered[:, 0])
-        np.maximum(arr[:, 0], arr[:, 1], out=ordered[:, 1])
-        self._adopt(self.n, ordered)
+        for first in range(0, rows.shape[0], BLOCK):
+            u, v = rows[first : first + BLOCK].T
+            smaller = np.minimum(u, v)
+            np.maximum(u, v, out=v)
+            u[...] = smaller
+        return self._adopt(n, rows)
 
     def _adopt(self, n: int, rows: np.ndarray) -> MultiGraph:
         """Freeze and keep rows, already int64 (min, max) pairs below n, as
@@ -202,18 +210,22 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, m={self.num_edges})"
 
 
-def conf_distance(ds: DegreeSequence, dist: Distribution) -> float:
+def conf_distance(degrees: DegreeSequence | np.ndarray, dist: Distribution) -> float:
     """Edge-weighted l1 distance between the empirical degree law and dist.
 
-    Computed as max( sum_i |i*n_i/n - i*r_i| , 1/n ); the 1/n floor makes the
-    distance vanish only along growing sequences.
+    ``degrees`` is a DegreeSequence or a non-empty 1-d int64 array of
+    non-negative degrees, read as it is, unchecked. Computed as
+    max( sum_i |i*n_i/n - i*r_i| , 1/n ); the 1/n floor makes the distance
+    vanish only along growing sequences.
     """
-    n = len(ds)
-    width = max(int(ds.max_degree), dist.max_support) + 1
-    # Not np.bincount: the degrees are frozen, and numpy 2.4 copies a
-    # read-only input first (see MultiGraph.degrees).
+    if isinstance(degrees, DegreeSequence):
+        degrees = degrees.degrees
+    n = degrees.size
+    width = max(int(degrees.max()), dist.max_support) + 1
+    # Not np.bincount: a DegreeSequence's degrees are frozen, and numpy 2.4
+    # copies a read-only input first (see MultiGraph.degrees).
     counts = np.zeros(width, dtype=np.int64)
-    np.add.at(counts, ds.degrees, 1)
+    np.add.at(counts, degrees, 1)
     empirical = counts / n
     target = dist.dense(width)
     i = np.arange(width, dtype=np.float64)
@@ -251,9 +263,23 @@ def sample_pairing(ds: DegreeSequence, rng: np.random.Generator) -> Pairing:
     """
     two_m = 2 * ds.size
     stubs = rng.permutation(two_m)
-    pairs = stubs.reshape(-1, 2)
-    owner = np.repeat(np.arange(len(ds), dtype=np.int64), ds.degrees)
-    return Pairing(two_m, pairs, owner, len(ds))
+    return Pairing(two_m, stubs.reshape(-1, 2), _stub_owners(ds), len(ds))
+
+
+def _stub_owners(ds: DegreeSequence) -> np.ndarray:
+    """Vertex i repeated d_i times, for i = 0..n-1: the owner of each stub.
+
+    Filled a block of vertices at a time, so the repeat's temporaries are a
+    block's, not a second stub-sized array and an n-sized vertex range."""
+    degrees = ds.degrees
+    owner = np.empty(2 * ds.size, dtype=np.int64)
+    filled = 0
+    for first in range(0, degrees.size, BLOCK):
+        counts = degrees[first : first + BLOCK]
+        stop = filled + int(counts.sum())
+        owner[filled:stop] = np.repeat(np.arange(first, first + counts.size), counts)
+        filled = stop
+    return owner
 
 
 def to_multigraph(pairing: Pairing) -> MultiGraph:
@@ -269,10 +295,13 @@ def sample_multigraph(ds: DegreeSequence, rng: np.random.Generator) -> MultiGrap
     ``to_multigraph(sample_pairing(ds, rng))`` and leaves ``rng`` in the
     same state, without the stub permutation and its two gathers. Use
     ``sample_pairing`` where stub identities matter (switchings).
+
+    The shuffled owners become the edge rows in place, so the peak is the
+    one stub-sized array plus a block's temporaries.
     """
-    owner = np.repeat(np.arange(len(ds), dtype=np.int64), ds.degrees)
+    owner = _stub_owners(ds)
     rng.shuffle(owner)
-    return MultiGraph(len(ds), owner.reshape(-1, 2))
+    return MultiGraph.__new__(MultiGraph)._own(len(ds), owner.reshape(-1, 2))
 
 
 def apply_switching(pairing: Pairing, pair1_index: int, pair2_index: int) -> Pairing:

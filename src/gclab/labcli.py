@@ -234,8 +234,9 @@ def cmd_percolation_sweep(
         cen, degrees, observed = None, np.zeros(n, dtype=np.int64), {}
         for p, level in zip(grid, levels):
             cen = census.components(level, start=cen)
-            degrees = degrees + level.degrees()
-            distance = configuration.conf_distance(configuration.DegreeSequence(degrees), thinned[p])
+            # The retained degrees grow by the level's row ends, a loop's twice.
+            np.add.at(degrees, level.edges.ravel(), 1)
+            distance = configuration.conf_distance(degrees, thinned[p])
             observed[p] = (cen.largest / n, cen.second_largest / n, distance)
         for p in p_grid:
             l1, l2, distance = observed[p]

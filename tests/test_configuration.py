@@ -4,6 +4,7 @@ from scipy import stats
 
 from gclab import configuration
 from gclab.configuration import (
+    BLOCK,
     DegreeSequence,
     MultiGraph,
     Pairing,
@@ -211,6 +212,17 @@ def test_degree_preservation(rng):
         assert g.num_edges == ds.size
 
 
+def _over_blocks():
+    """Two blocks and a half of vertices: a run of degree-0 vertices across
+    the first block edge, and right after it a vertex of degree 1000, whose
+    stubs pair among themselves (a loop) in every seeded draw below."""
+    degrees = [1, 3, 0] * (5 * BLOCK // 6)
+    degrees[BLOCK - 40 : BLOCK + 40] = [0] * 80
+    degrees[BLOCK + 40] = 1000
+    degrees[-1] += sum(degrees) % 2
+    return degrees
+
+
 @pytest.mark.parametrize(
     "degrees",
     [
@@ -218,16 +230,23 @@ def test_degree_preservation(rng):
         pytest.param([0, 0, 0], id="no-edges"),
         pytest.param([2], id="single-loop"),
         pytest.param([1, 3, 0] * 400, id="mixture-1200"),
+        pytest.param(_over_blocks(), id="over-blocks"),
     ],
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sample_multigraph_is_the_pairing_graph(degrees, seed):
     # One shuffle of the stub owners must make the pairing's swaps: the same
-    # edges, row for row, and the same generator state afterwards.
+    # edges, row for row, and the same generator state afterwards. The rows
+    # are also checked against owners and (min, max) order made whole, with
+    # no blocks.
     ds = DegreeSequence(degrees)
     shuffled, paired = np.random.default_rng(seed), np.random.default_rng(seed)
     graph = sample_multigraph(ds, shuffled)
-    np.testing.assert_array_equal(graph.edges, to_multigraph(sample_pairing(ds, paired)).edges)
+    pairing = sample_pairing(ds, paired)
+    np.testing.assert_array_equal(graph.edges, to_multigraph(pairing).edges)
+    owner = np.repeat(np.arange(len(ds)), degrees)
+    np.testing.assert_array_equal(pairing.owner, owner)
+    np.testing.assert_array_equal(graph.edges, np.sort(owner[pairing.pairs], axis=1))
     assert graph.n == len(ds)
     assert shuffled.integers(2**62) == paired.integers(2**62)
 

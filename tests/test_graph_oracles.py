@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import triu
 
 from gclab.census import ComponentSizeAtLeast, ComponentSizeExactly, MaxDegreeBall, components, property_mask
-from gclab.configuration import MultiGraph, is_simple, sample_degree_sequence, sample_pairing, to_multigraph
+from gclab.configuration import BLOCK, MultiGraph, is_simple, sample_degree_sequence, sample_pairing, to_multigraph
 from gclab.distributions import Distribution
 
 from helpers import component_id, neighborhood, numbering_oracle
@@ -194,8 +194,17 @@ def _second_largest_holds_vertex_0(rng):
     return MultiGraph(9000, np.concatenate(edges))
 
 
+def _configuration_graph_over_blocks(rng):
+    # A mixture multigraph, loops and parallel edges included, with three
+    # blocks of rows, whose round-1 survivors alone fill more than a block:
+    # the census's first two re-reads cross block edges.
+    law = Distribution([(1, 0.5), (3, 0.5)])
+    return to_multigraph(sample_pairing(sample_degree_sequence(law, 3 * BLOCK, rng), rng))
+
+
 ADVERSARIAL_GRAPHS = {
     "random_path": _random_path,
+    "configuration_graph_over_blocks": _configuration_graph_over_blocks,
     "isolated_vertices_around_a_path": _isolated_vertices_around_a_path,
     "short_cycles_beside_a_long_one": _short_cycles_beside_a_long_one,
     "star_with_largest_centre": _star_with_largest_centre,

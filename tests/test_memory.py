@@ -16,7 +16,7 @@ import pytest
 from gclab.census import components, property_mask
 from gclab.configuration import MultiGraph, conf_distance, sample_degree_sequence, sample_multigraph
 from gclab.distributions import Distribution
-from gclab.labcli import parse_property_spec
+from gclab.labcli import cmd_local_census, parse_property_spec, trial_rng
 from gclab.percolation import percolate, retention_levels
 
 
@@ -55,22 +55,25 @@ def test_conf_distance_allocates_only_its_counts(degree_sequence, mixture):
 
 
 def test_sample_multigraph_peak(degree_sequence):
-    # Measured: 2.00 E (the shuffled owners, then the (min, max) rows). A
-    # stub permutation, two endpoint gathers and their stacked copy: 5.00 E.
+    # Measured: 1.17 E (the shuffled owners, ordered in place as the rows,
+    # and one block's repeat temporaries; 1.02 E at n = 10^6). The (min,
+    # max) rows as a second array beside the owners, built by one whole
+    # np.repeat: 2.00 E; 32768-vertex blocks: 1.66 E. A stub permutation,
+    # two endpoint gathers and their stacked copy: 5.00 E.
     rng = np.random.default_rng(13)
     peak, graph = traced_peak(lambda: sample_multigraph(degree_sequence, rng))
-    assert peak <= 2.25 * graph.edges.nbytes
+    assert peak <= 1.25 * graph.edges.nbytes
 
 
 def test_components_peak(graph):
-    # Measured: 1.94 E, of which 0.19 E is the index array compress builds
-    # for the rows that survive round 1 (1.75 E with boolean-mask
-    # survivors). Copying the loop-free edges before the first round and
-    # re-reading both endpoints at once: 3.06 E. A take on the strided
-    # first-round columns: 2.0006 E. Keeping the first round's re-read ends
-    # for the relabel, next to the later rounds' hooked ends: 2.02 E.
+    # Measured: 1.27 E, in round 2's jump (the parents, the ends of the
+    # 37.5% of rows that still differ after round 1, and the jump's two
+    # gathers of the hooked ends); the re-read before it holds the parents,
+    # a flag per row and those ends: 0.99 E. Re-reading both ends of every
+    # row at once and compressing them: 1.94 E. Copying the loop-free edges
+    # before the first round as well: 3.06 E.
     peak, _ = traced_peak(lambda: components(graph))
-    assert peak <= 2.0 * graph.edges.nbytes
+    assert peak <= 1.35 * graph.edges.nbytes
 
 
 def test_components_peak_when_components_finish_early():
@@ -113,27 +116,44 @@ def test_components_peak_on_a_path_of_many_rounds():
     # A randomly labelled path takes 11 rounds, and the hooked ends of
     # rounds 2-11 are kept for the relabel: 0.50 n in all, 0.33 n of it
     # from round 2. They pile up only after the first round's re-read ends
-    # are gone, so the peak stays in round 1. Measured: 3.79 n-sized int64
-    # arrays. Keeping the first round's re-read ends as well: 4.00.
+    # are gone, so the peak stays in round 2's jump. Measured: 2.37 n-sized
+    # int64 arrays (the parents, the ends of the third of the rows that
+    # survive round 1, and the jump's two gathers). Re-reading both ends of
+    # every row at once: 3.79; keeping those ends as well: 4.00.
     n = 100_000
     labels = np.random.default_rng(16).permutation(n)
     graph = MultiGraph(n, np.column_stack([labels[:-1], labels[1:]]))
     peak, census = traced_peak(lambda: components(graph))
     assert census.largest == n
-    assert peak <= 3.9 * 8 * n
+    assert peak <= 2.45 * 8 * n
 
 
 def test_components_peak_when_grown_from_a_start(graph):
     # The rows marked at or above 1/2, hooked into the census of the rest.
-    # Measured: 3.39 n-sized int64 arrays (1.70 E): the copied parents, the
-    # half's re-read ends and the finished census. The census of all the
-    # rows from scratch: 3.87.
+    # Measured: 3.05 n-sized int64 arrays (1.53 E), in the first round's
+    # jump: the copied parents, the half's re-read ends, nearly all of which
+    # differ, and the jump's two gathers. Re-reading all of the half's ends
+    # at once and compressing them: 3.39. The census of all the rows from
+    # scratch with whole-array re-reads: 3.87.
     n = graph.n
     below, above = retention_levels(graph, [0.5, 1.0], np.random.default_rng(17))
     start = components(below)
     peak, census = traced_peak(lambda: components(above, start=start))
     assert census.largest == components(graph).largest
-    assert peak <= 3.6 * 8 * n
+    assert peak <= 3.15 * 8 * n
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_local_census_op_peak(mixture, seed):
+    # The whole op at the benchmark's spec, with its own graph: E is that
+    # graph's edge bytes, 16 per stub pair of the op's degree draw. Its peak
+    # is the census beside the graph. Measured: 2.28 and 2.28 E (2.27 E,
+    # 36.4 MB, at n = 10^6). Both ends of every row re-read at once beside
+    # the graph: 2.94 E.
+    spec = "max_degree_ball:3,2&component_at_least:2"
+    edge_bytes = 16 * sample_degree_sequence(mixture, 100_000, trial_rng(seed, 0)).size
+    peak, _ = traced_peak(lambda: cmd_local_census(mixture, 100_000, spec, seed))
+    assert peak <= 2.35 * edge_bytes
 
 
 def test_percolate_peak(graph):
