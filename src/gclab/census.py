@@ -138,12 +138,15 @@ def components(graph: MultiGraph, start: ComponentCensus | None = None) -> Compo
     The relabel goes through the kept ends latest round first: an end of
     round k points at a root of round k's end, which is final or an end of
     a later round, already relabelled, so one two-step gather per round
-    makes every kept end point at its final root. Then one whole-array
-    gather finishes: every vertex points at a root of the first round's
-    end (or of ``start``), and each such root is final or a kept,
-    relabelled end. The census holds the roots in vertex order and their
-    sizes from one bincount; it sorts them only when the component order is
-    read.
+    makes every kept end point at its final root. Then every vertex points
+    at a root of the first round's end (or of ``start``), and each such
+    root is final or a kept, relabelled end, so every vertex points at a
+    vertex that points at its final root. The last gather reads
+    ``parent[parent[v]]`` in place, a block of vertices at a time: a read
+    of a vertex already gathered still names that vertex's final root, so
+    the blocks may run in any order, and no second n-sized array is made.
+    The census holds the roots in vertex order and their sizes from one
+    bincount; it sorts them only when the component order is read.
     """
     n = graph.n
     lo, hi = graph.edges[:, 0], graph.edges[:, 1]
@@ -155,7 +158,6 @@ def components(graph: MultiGraph, start: ComponentCensus | None = None) -> Compo
         jumped = parent.take(parent)
         moved = np.flatnonzero(jumped != parent)
         parent = jumped
-        del jumped  # else the name would keep this array alive past the final gather
         _jump(parent, moved)
         del moved
     elif start.parent.size != n:
@@ -176,7 +178,9 @@ def components(graph: MultiGraph, start: ComponentCensus | None = None) -> Compo
         ends = hooked.pop()
         parent[ends] = parent.take(parent.take(ends))
         del ends  # else the name would keep round 2's ends past the final gather
-    parent = parent.take(parent)
+    for first in range(0, n, BLOCK):
+        block = parent[first : first + BLOCK]
+        block[...] = parent.take(block)
     # Only a root has a vertex pointing at it: itself, at the least. The
     # compare first: numpy's nonzero is about 4x faster on bools than on int64.
     counts = np.bincount(parent, minlength=n)

@@ -18,18 +18,20 @@ from .errors import Exhausted, SamePair, SpecParseError
 
 # Largest n + n*E(D), vertices plus expected stubs, that
 # sample_degree_sequence draws for. Peak resident memory of one giant,
-# sweep or local-census run grows by at most about 30 bytes per vertex or
+# sweep or local-census run grows by at most about 24 bytes per vertex or
 # stub: from n = 40000 to 120000 on {1: 1/2, 99: 1/2} (4.08e6 more
-# elements) giant and local-census took 24 bytes each and sweep 18; from
-# n = 10^6 to 3*10^6 on {1: 1/2, 3: 1/2} giant took 16, local-census 13
-# and a three-value sweep 30 (ru_maxrss of one CLI run, 2-core x86 host,
-# numpy 2.4). The cap holds a run near 1.5 GB, and keeps the pair keys
-# u*n + v below 2.5e15, far from int64 overflow.
+# elements) giant and local-census took 24 bytes each and a three-value
+# sweep 18; from n = 10^6 to 3*10^6 on {1: 1/2, 3: 1/2} giant took 13,
+# local-census 13 and a three-value sweep 20, or 24 with p = 0 in its grid
+# (ru_maxrss of one CLI run, 2-core x86 host, numpy 2.4). The cap holds a
+# run near 1.2 GB, and keeps the pair keys u*n + v below 2.5e15, far from
+# int64 overflow.
 MAX_GRAPH_ELEMENTS = 5 * 10**7
 
 # Vertices or edge rows per block where a stage streams over the graph (the
 # stub owners, the rows' (min, max) order, the census's re-reads of the
-# ends), so its temporaries are a few hundred KB, not edge-sized.
+# ends and its last gather), so its temporaries are a few hundred KB, not
+# edge-sized.
 BLOCK = 8192
 
 # Largest vertex count of a MultiGraph: the pair keys u*n + v of is_simple
@@ -350,6 +352,8 @@ def sample_simple(ds: DegreeSequence, rng: np.random.Generator, max_attempts: in
         graph = sample_multigraph(ds, rng)
         if is_simple(graph):
             return graph
+        # Else the rejected graph would live on beside the next draw.
+        del graph
     raise Exhausted(max_attempts)
 
 

@@ -177,7 +177,10 @@ def cmd_giant(
             graph = configuration.sample_simple(ds, rng, max_attempts)
         else:
             graph = configuration.sample_multigraph(ds, rng)
+        # The census, the op's memory peak, runs beside the graph alone.
+        del ds
         cen = census.components(graph)
+        del graph
         observed = {
             "L1_over_n": cen.largest / n,
             "L2_over_n": cen.second_largest / n,
@@ -186,6 +189,7 @@ def cmd_giant(
         for k in range(1, k_small + 1):
             observed[f"N{k}_over_n"] = cen.vertices_in_components_of_size(k) / n
             predicted[f"N{k}_over_n"] = predicted_rho_k[k - 1]
+        del cen  # else it would live on beside the next trial's draw
         records.append(
             ExperimentRecord(
                 experiment="giant",
@@ -230,12 +234,20 @@ def cmd_percolation_sweep(
         rng_graph = trial_rng(seed, trial)
         ds = configuration.sample_degree_sequence(dist, n, rng_graph)
         graph = configuration.sample_multigraph(ds, rng_graph)
+        del ds
+        # Each array goes once its last reader is done: the graph once the
+        # levels are cut, each level once the census and the degrees have
+        # read it, so the censuses run beside the levels still to come.
         levels = percolation.retention_levels(graph, grid, trial_rng(seed, trial, 1))
+        del graph
+        levels.reverse()
         cen, degrees, observed = None, np.zeros(n, dtype=np.int64), {}
-        for p, level in zip(grid, levels):
+        for p in grid:
+            level = levels.pop()
             cen = census.components(level, start=cen)
             # The retained degrees grow by the level's row ends, a loop's twice.
             np.add.at(degrees, level.edges.ravel(), 1)
+            del level
             distance = configuration.conf_distance(degrees, thinned[p])
             observed[p] = (cen.largest / n, cen.second_largest / n, distance)
         for p in p_grid:

@@ -14,9 +14,22 @@ import numpy as np
 import pytest
 
 from gclab.census import components, property_mask
-from gclab.configuration import MultiGraph, conf_distance, sample_degree_sequence, sample_multigraph
+from gclab.configuration import (
+    MultiGraph,
+    conf_distance,
+    is_simple,
+    sample_degree_sequence,
+    sample_multigraph,
+    sample_simple,
+)
 from gclab.distributions import Distribution
-from gclab.labcli import cmd_local_census, parse_property_spec, trial_rng
+from gclab.labcli import (
+    cmd_giant,
+    cmd_local_census,
+    cmd_percolation_sweep,
+    parse_property_spec,
+    trial_rng,
+)
 from gclab.percolation import percolate, retention_levels
 
 
@@ -143,6 +156,12 @@ def test_components_peak_when_grown_from_a_start(graph):
     assert peak <= 3.15 * 8 * n
 
 
+def op_edge_bytes(law, seed):
+    """E of an op at n = 10^5 with its own graph: 16 bytes per stub pair of
+    the op's first degree draw."""
+    return 16 * sample_degree_sequence(law, 100_000, trial_rng(seed, 0)).size
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_local_census_op_peak(mixture, seed):
     # The whole op at the benchmark's spec, with its own graph: E is that
@@ -151,9 +170,60 @@ def test_local_census_op_peak(mixture, seed):
     # 36.4 MB, at n = 10^6). Both ends of every row re-read at once beside
     # the graph: 2.94 E.
     spec = "max_degree_ball:3,2&component_at_least:2"
-    edge_bytes = 16 * sample_degree_sequence(mixture, 100_000, trial_rng(seed, 0)).size
+    edge_bytes = op_edge_bytes(mixture, seed)
     peak, _ = traced_peak(lambda: cmd_local_census(mixture, 100_000, spec, seed))
     assert peak <= 2.35 * edge_bytes
+
+
+@pytest.mark.parametrize("law, bound", [("mixture", 3.75), ("regular3", 2.40)])
+def test_sweep_op_peak(request, law, bound):
+    # The whole op over the benchmark's grid. Measured: 3.66 E on the
+    # mixture and 2.34 E on reg3, in the census at p = 0.45: the levels
+    # still to come, the last census and this one's working set. Keeping
+    # the degree sequence, the graph and every finished level alive
+    # through the census loop, and ending the census with a whole-array
+    # gather: 5.46 and 3.95 E.
+    dist = request.getfixturevalue(law)
+    edge_bytes = op_edge_bytes(dist, 1)
+    grid = [0.3, 0.45, 0.5, 0.55, 0.7]
+    peak, _ = traced_peak(lambda: cmd_percolation_sweep(dist, 100_000, grid, 1, 1))
+    assert peak <= bound * edge_bytes
+
+
+@pytest.mark.parametrize(
+    "law, simple, trials, seed, bound",
+    [
+        ("mixture", False, 1, 1, 2.35),
+        ("mixture", False, 1, 2, 2.35),
+        ("mixture", False, 2, 1, 2.35),
+        ("regular3", True, 1, 1, 2.45),
+    ],
+)
+def test_giant_op_peak(request, law, simple, trials, seed, bound):
+    # The whole op; its peak is the census beside the graph. Measured: 2.27
+    # and 2.28 E on the mixture, 2.30 E over two trials, 2.37 E for reg3
+    # with --simple. The degree sequence alive through the census: 2.78
+    # and 2.70 E; the first trial's census alive through the second's:
+    # 2.87 E, and with its degree sequence and graph as well: 3.37 E.
+    dist = request.getfixturevalue(law)
+    edge_bytes = op_edge_bytes(dist, seed)
+    peak, _ = traced_peak(lambda: cmd_giant(dist, 100_000, trials, seed, simple=simple))
+    assert peak <= bound * edge_bytes
+
+
+def test_sample_simple_peak_after_rejections(regular3):
+    # reg3 at n = 10^5 is simple with probability about e^-2; at this seed
+    # the fifth draw is. Measured: 1.56 E (the accepted graph and the
+    # simplicity test's sorted pair keys), as for a first draw accepted.
+    # Keeping each rejected graph alive beside the next draw: 2.14 E.
+    ds = sample_degree_sequence(regular3, 100_000, np.random.default_rng(100))
+    draws = np.random.default_rng(100)
+    attempts = 1
+    while not is_simple(sample_multigraph(ds, draws)):
+        attempts += 1
+    assert attempts == 5
+    peak, graph = traced_peak(lambda: sample_simple(ds, np.random.default_rng(100), 200))
+    assert peak <= 1.65 * graph.edges.nbytes
 
 
 def test_percolate_peak(graph):
