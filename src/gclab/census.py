@@ -20,97 +20,67 @@ import numpy as np
 from .configuration import BLOCK, MultiGraph
 
 
+@dataclass(eq=False)
 class ComponentCensus:
     """Component decomposition: each vertex's root (``parent``), and each
-    component's root and size.
+    component's root and size, in the vertex order of the roots.
 
-    A root is its component's smallest vertex. ``components`` leaves the
-    components in the vertex order of their roots, and the readers below
-    work in that order and never sort. The component order, sizes
-    descending and equal sizes by root, is made on first read of ``sizes``
-    or ``roots``, by one sort of the keys (n - size)*n + root in the
-    census's own buffers; the keys stay below n^2, within int64 by
-    MAX_VERTICES. Either order puts the smallest root first among the
-    largest sizes, so argmax finds component 0, *the* largest component.
+    A root is its component's smallest vertex. The readers below ignore the
+    order of the components; argmax over the sizes, which takes the first
+    maximum in root order, finds the smallest root among the largest sizes,
+    *the* largest component.
     """
 
-    __slots__ = ("parent", "_roots", "_sizes", "_ordered")
-
-    def __init__(self, parent: np.ndarray, roots: np.ndarray, sizes: np.ndarray):
-        self.parent = parent
-        self._roots = roots
-        self._sizes = sizes
-        self._ordered = False
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Component sizes, descending."""
-        self._order()
-        return self._sizes
-
-    @property
-    def roots(self) -> np.ndarray:
-        """The components' roots, in component order."""
-        self._order()
-        return self._roots
-
-    def _order(self) -> None:
-        if self._ordered:
-            return
-        n, sizes, roots = self.parent.size, self._sizes, self._roots
-        # The keys (n - size)*n + root, sorted and decoded in place.
-        np.subtract(n, sizes, out=sizes)
-        sizes *= n
-        sizes += roots
-        sizes.sort()
-        np.divmod(sizes, n, out=(sizes, roots))
-        np.subtract(n, sizes, out=sizes)
-        self._ordered = True
+    parent: np.ndarray
+    roots: np.ndarray
+    sizes: np.ndarray
 
     @property
     def largest(self) -> int:
         """L1: number of vertices in the largest component, 0 without vertices."""
-        return int(self._sizes.max()) if self._sizes.size else 0
+        return int(self.sizes.max()) if self.sizes.size else 0
 
     @property
     def second_largest(self) -> int:
         """L2, or 0 when there is a single component."""
-        if not self._sizes.size:
+        if not self.sizes.size:
             return 0
-        # The larger of the maxima on either side of component 0.
-        giant = int(self._sizes.argmax())
-        rest = (self._sizes[:giant], self._sizes[giant + 1 :])
+        # The larger of the maxima on either side of the largest component.
+        giant = int(self.sizes.argmax())
+        rest = (self.sizes[:giant], self.sizes[giant + 1 :])
         return max((int(part.max()) for part in rest if part.size), default=0)
 
     def vertices_in_components_of_size(self, k: int) -> int:
         """N_k: number of vertices lying in components with exactly k vertices."""
-        return int(k * np.count_nonzero(self._sizes == k))
+        return int(k * np.count_nonzero(self.sizes == k))
 
     def giant_mask(self) -> np.ndarray:
-        """The vertices of component 0; empty on the vertexless graph."""
-        if not self._sizes.size:
+        """The vertices of the largest component; empty on the vertexless graph."""
+        if not self.sizes.size:
             return np.zeros(0, dtype=bool)
-        return self.parent == self._roots[self._sizes.argmax()]
+        return self.parent == self.roots[self.sizes.argmax()]
 
     def size_window_mask(self, low: int, high: float) -> np.ndarray:
         """The vertices whose component has between low and high vertices."""
         # Decide per root, put each answer at its root, then gather bools by
         # each vertex's root.
-        holds = self._sizes >= low
+        holds = self.sizes >= low
         if high < math.inf:
-            holds &= self._sizes <= high
+            holds &= self.sizes <= high
         at_root = np.zeros(self.parent.size, dtype=bool)
-        at_root[self._roots] = holds
+        at_root[self.roots] = holds
         del holds
         return at_root.take(self.parent)
 
 
-def components(graph: MultiGraph, start: ComponentCensus | None = None) -> ComponentCensus:
+def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentCensus:
     """Exact component decomposition; loops are ignored for connectivity.
 
-    With ``start``, the census of another graph on the same n vertices, it
-    is the census of both graphs' rows together: ``start``'s roots stand in
-    for the first round, and only this graph's rows are hooked.
+    With ``start``, the ``parent`` array of another graph's census on the
+    same n vertices, it is the census of both graphs' rows together:
+    ``start``'s roots stand in for the first round, only this graph's rows
+    are hooked, and ``start`` is grown in place into the new census's
+    ``parent``.
 
     Min-label hooking with pointer jumping (Shiloach and Vishkin 1982) over
     the edge rows. Each round hooks every root to the smallest root it
@@ -129,8 +99,8 @@ def components(graph: MultiGraph, start: ComponentCensus | None = None) -> Compo
     the same round, so every pointer chain that starts at a hooked end runs
     through hooked ends to a root, and jumping the hooked ends alone makes
     each of them point at a root. The round keeps its hooked ends. A
-    ``start`` census points every vertex at a root already, so its copy
-    skips the first round. Each re-read goes a block of rows at a time and
+    ``start`` array points every vertex at a root already, so it skips the
+    first round. Each re-read goes a block of rows at a time and
     keeps only the rows whose ends differ (``_roots_apart``), so both ends
     of every row are never held at once.
 
@@ -146,7 +116,7 @@ def components(graph: MultiGraph, start: ComponentCensus | None = None) -> Compo
     of a vertex already gathered still names that vertex's final root, so
     the blocks may run in any order, and no second n-sized array is made.
     The census holds the roots in vertex order and their sizes from one
-    bincount; it sorts them only when the component order is read.
+    bincount.
     """
     n = graph.n
     lo, hi = graph.edges[:, 0], graph.edges[:, 1]
@@ -160,10 +130,10 @@ def components(graph: MultiGraph, start: ComponentCensus | None = None) -> Compo
         parent = jumped
         _jump(parent, moved)
         del moved
-    elif start.parent.size != n:
-        raise ValueError(f"start census has {start.parent.size} vertices, the graph {n}")
+    elif start.size != n:
+        raise ValueError(f"start parent array has {start.size} vertices, the graph {n}")
     else:
-        parent = start.parent.copy()
+        parent = start
     lo, hi = _roots_apart(parent, lo, hi)
     hooked = []
     while lo.size:

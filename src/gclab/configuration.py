@@ -21,11 +21,11 @@ from .errors import Exhausted, SamePair, SpecParseError
 # sweep or local-census run grows by at most about 24 bytes per vertex or
 # stub: from n = 40000 to 120000 on {1: 1/2, 99: 1/2} (4.08e6 more
 # elements) giant and local-census took 24 bytes each and a three-value
-# sweep 18; from n = 10^6 to 3*10^6 on {1: 1/2, 3: 1/2} giant took 13,
-# local-census 13 and a three-value sweep 20, or 24 with p = 0 in its grid
-# (ru_maxrss of one CLI run, 2-core x86 host, numpy 2.4). The cap holds a
-# run near 1.2 GB, and keeps the pair keys u*n + v below 2.5e15, far from
-# int64 overflow.
+# sweep 18, or 22 with p = 0 in its grid; from n = 10^6 to 3*10^6 on
+# {1: 1/2, 3: 1/2} giant took 13, local-census 13 and a three-value sweep
+# 17, or 20 with p = 0 in its grid (ru_maxrss of one CLI run, 2-core x86
+# host, numpy 2.4). The cap holds a run near 1.2 GB, and keeps the pair
+# keys u*n + v below 2.5e15, far from int64 overflow.
 MAX_GRAPH_ELEMENTS = 5 * 10**7
 
 # Vertices or edge rows per block where a stage streams over the graph (the

@@ -157,6 +157,25 @@ def _predicted_rho(law: Distribution) -> float | None:
         return None
 
 
+def _trial_graph(
+    dist: Distribution,
+    n: int,
+    seed: int,
+    trial: int,
+    simple: bool = False,
+    max_attempts: int = 200,
+) -> configuration.MultiGraph:
+    """The graph of one trial, from the substream keyed by the trial alone:
+    its degrees, then a pairing of them (``simple``: the first simple one).
+    The degree sequence dies at return, so a census runs beside the graph
+    alone."""
+    rng = trial_rng(seed, trial)
+    ds = configuration.sample_degree_sequence(dist, n, rng)
+    if simple:
+        return configuration.sample_simple(ds, rng, max_attempts)
+    return configuration.sample_multigraph(ds, rng)
+
+
 def cmd_giant(
     dist: Distribution,
     n: int,
@@ -171,16 +190,7 @@ def cmd_giant(
     predicted_rho_k = [float(x) for x in branching.rho_k_table(dist, k_small).rho_k]
     records = []
     for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        ds = configuration.sample_degree_sequence(dist, n, rng)
-        if simple:
-            graph = configuration.sample_simple(ds, rng, max_attempts)
-        else:
-            graph = configuration.sample_multigraph(ds, rng)
-        # The census, the op's memory peak, runs beside the graph alone.
-        del ds
-        cen = census.components(graph)
-        del graph
+        cen = census.components(_trial_graph(dist, n, seed, trial, simple, max_attempts))
         observed = {
             "L1_over_n": cen.largest / n,
             "L2_over_n": cen.second_largest / n,
@@ -231,25 +241,25 @@ def cmd_percolation_sweep(
     predictions = {p: _predicted_rho(law) for p, law in thinned.items()}
     records = []
     for trial in range(trials):
-        rng_graph = trial_rng(seed, trial)
-        ds = configuration.sample_degree_sequence(dist, n, rng_graph)
-        graph = configuration.sample_multigraph(ds, rng_graph)
-        del ds
         # Each array goes once its last reader is done: the graph once the
         # levels are cut, each level once the census and the degrees have
-        # read it, so the censuses run beside the levels still to come.
-        levels = percolation.retention_levels(graph, grid, trial_rng(seed, trial, 1))
-        del graph
+        # read it, and each census once L1 and L2 are read, so only its
+        # parent array, grown in place by the next, outlives it.
+        levels = percolation.retention_levels(
+            _trial_graph(dist, n, seed, trial), grid, trial_rng(seed, trial, 1)
+        )
         levels.reverse()
-        cen, degrees, observed = None, np.zeros(n, dtype=np.int64), {}
+        parent, degrees, observed = None, np.zeros(n, dtype=np.int64), {}
         for p in grid:
             level = levels.pop()
-            cen = census.components(level, start=cen)
+            cen = census.components(level, start=parent)
+            parent, l1, l2 = cen.parent, cen.largest, cen.second_largest
+            del cen
             # The retained degrees grow by the level's row ends, a loop's twice.
             np.add.at(degrees, level.edges.ravel(), 1)
             del level
             distance = configuration.conf_distance(degrees, thinned[p])
-            observed[p] = (cen.largest / n, cen.second_largest / n, distance)
+            observed[p] = (l1 / n, l2 / n, distance)
         for p in p_grid:
             l1, l2, distance = observed[p]
             records.append(
@@ -296,13 +306,7 @@ def cmd_local_census(
             predicted_giant = branching.giant_degree_fractions(dist).get(prop.d, 0.0)
         except DegenerateDistribution:
             pass
-    rng_graph = trial_rng(seed, 0)
-    # Drop the degree sequence: the census, the op's memory peak, then runs
-    # beside the graph alone.
-    ds = configuration.sample_degree_sequence(dist, n, rng_graph)
-    graph = configuration.sample_multigraph(ds, rng_graph)
-    del ds
-    whole, giant = census.property_counts(graph, prop)
+    whole, giant = census.property_counts(_trial_graph(dist, n, seed, 0), prop)
     return ExperimentRecord(
         experiment="local-census",
         params={"n": n, "seed": seed, "property": property_spec},

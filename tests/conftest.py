@@ -1,10 +1,24 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from gclab.distributions import Distribution
+
+# To report a failing property test, hypothesis's pytest plugin imports its
+# patch writer, which imports libcst, which raises a DeprecationWarning
+# (mypy_extensions' TypedDict). With warnings as errors that import would end
+# the whole session in INTERNALERROR, so it is done once here, warning ignored.
+# Without libcst the plugin writes no patch, and neither import happens.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # One example budget for every property test: modest, so the suite stays
 # quick, and derandomized, so a run is reproducible.

@@ -497,10 +497,21 @@ def random_multigraph(rng: np.random.Generator, n: int, m: int) -> MultiGraph:
     return MultiGraph(n, edges)
 
 
+def component_order(census) -> tuple[np.ndarray, np.ndarray]:
+    """The census's sizes and roots in component order: sizes descending,
+    equal sizes by root. One sort of the keys (n - size)*n + root, which
+    stay below n^2, within int64 by MAX_VERTICES."""
+    n = census.parent.size
+    keys = np.sort((n - census.sizes) * n + census.roots)
+    sizes, roots = np.divmod(keys, n)
+    return n - sizes, roots
+
+
 def component_id(census) -> np.ndarray:
-    """Entry v is the number of v's component in the census's order."""
+    """Entry v is the number of v's component in the component order."""
+    roots = component_order(census)[1]
     rank = np.empty(census.parent.size, dtype=np.int64)
-    rank[census.roots] = np.arange(census.roots.size)
+    rank[roots] = np.arange(roots.size)
     return rank.take(census.parent)
 
 

@@ -24,6 +24,7 @@ from gclab.distributions import Distribution
 from helpers import (
     InsufficientRadius,
     component_id,
+    component_order,
     evaluate_property,
     neighborhood,
     radius,
@@ -117,9 +118,10 @@ def test_l1_plus_l2_bounded_by_tail_counts(rng):
 def test_census_json_export():
     g = MultiGraph(5, [[0, 1], [1, 2]])
     cen = components(g)
+    sizes = component_order(cen)[0]
     doc = {
-        "sizes": cen.sizes.tolist(),
-        "N_k": {str(k): cen.vertices_in_components_of_size(k) for k in sorted(set(cen.sizes.tolist()))},
+        "sizes": sizes.tolist(),
+        "N_k": {str(k): cen.vertices_in_components_of_size(k) for k in sorted(set(sizes.tolist()))},
         "L1": cen.largest,
         "L2": cen.second_largest,
     }

@@ -12,7 +12,7 @@ from gclab.census import ComponentSizeAtLeast, ComponentSizeExactly, MaxDegreeBa
 from gclab.configuration import BLOCK, MultiGraph, is_simple, sample_degree_sequence, sample_pairing, to_multigraph
 from gclab.distributions import Distribution
 
-from helpers import component_id, neighborhood, numbering_oracle
+from helpers import component_id, component_order, neighborhood, numbering_oracle
 
 
 @st.composite
@@ -94,7 +94,7 @@ def test_components_match_networkx(graph):
     cen = components(graph)
     # Size descending, ties to the component holding the smaller vertex.
     expected = sorted(nx.connected_components(to_networkx(graph)), key=lambda c: (-len(c), min(c)))
-    assert cen.sizes.tolist() == [len(c) for c in expected]
+    assert component_order(cen)[0].tolist() == [len(c) for c in expected]
     assert cen.largest == len(expected[0])
     for label, comp in enumerate(expected):
         assert set(np.flatnonzero(component_id(cen) == label).tolist()) == comp
@@ -227,40 +227,38 @@ def test_components_match_networkx_on_adversarial_graphs(name):
     graph = ADVERSARIAL_GRAPHS[name](np.random.default_rng(1982))
     sizes, labels = networkx_census(graph)
     cen = components(graph)
-    assert cen.sizes.tolist() == sizes
+    assert component_order(cen)[0].tolist() == sizes
     assert np.array_equal(component_id(cen), labels)
 
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL_GRAPHS))
 def test_numbering_matches_the_argsort_oracle(name):
-    # The key-sort numbering against the argsort-and-rank numbering of the
-    # census's own roots, and the roots against each component's smallest
-    # vertex.
+    # The key-sort numbering of `component_order` against the argsort-and-rank
+    # numbering of the census's own roots, and the roots against each
+    # component's smallest vertex.
     graph = ADVERSARIAL_GRAPHS[name](np.random.default_rng(1982))
     cen = components(graph)
+    ordered_sizes, ordered_roots = component_order(cen)
     sizes, ids = numbering_oracle(cen.parent)
-    assert np.array_equal(cen.sizes, sizes)
+    assert np.array_equal(ordered_sizes, sizes)
     assert np.array_equal(component_id(cen), ids)
-    assert np.array_equal(cen.parent, cen.roots[component_id(cen)])
-    smallest = np.full(cen.roots.size, graph.n)
+    assert np.array_equal(cen.parent, ordered_roots[component_id(cen)])
+    smallest = np.full(ordered_roots.size, graph.n)
     np.minimum.at(smallest, component_id(cen), np.arange(graph.n))
-    assert np.array_equal(cen.roots, smallest)
+    assert np.array_equal(ordered_roots, smallest)
     assert np.array_equal(cen.giant_mask(), component_id(cen) == 0)
 
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL_GRAPHS))
 def test_readers_agree_with_the_component_order(name):
-    # Each reader gets a fresh census, whose component order is not built
-    # yet, and must not build it.
+    # Each reader gets a fresh census, its components in the vertex order
+    # of their roots.
     graph = ADVERSARIAL_GRAPHS[name](np.random.default_rng(1982))
     ordered = components(graph)
-    sizes, ids = ordered.sizes, component_id(ordered)
+    sizes, ids = component_order(ordered)[0], component_id(ordered)
 
     def read(reader):
-        cen = components(graph)
-        value = reader(cen)
-        assert not cen._ordered
-        return value
+        return reader(components(graph))
 
     assert read(lambda cen: cen.largest) == sizes[0]
     assert read(lambda cen: cen.second_largest) == (sizes[1] if sizes.size > 1 else 0)
@@ -284,7 +282,8 @@ def test_tied_giant_is_the_component_with_the_smaller_root():
     roots, sizes = np.unique(cen.parent, return_counts=True)
     tied = roots[sizes == 4000]
     assert np.array_equal(cen.giant_mask(), cen.parent == tied.min())
-    assert cen.roots[:2].tolist() == tied.tolist() and cen.roots[0] != 0
+    ordered_roots = component_order(cen)[1]
+    assert ordered_roots[:2].tolist() == tied.tolist() and ordered_roots[0] != 0
 
 
 @st.composite
@@ -297,18 +296,19 @@ def graph_pairs(draw):
 
 
 def assert_grows_to_the_union(a: MultiGraph, b: MultiGraph) -> None:
-    """The census of b grown from a's is the census of a's and b's rows
-    together, from scratch and by networkx, and a's census is unchanged."""
+    """The census of b grown from the parent array of a's is the census of
+    a's and b's rows together, from scratch and by networkx, and its parent
+    is that array, grown in place."""
     union = MultiGraph(a.n, np.concatenate([a.edges, b.edges]))
-    start = components(a)
+    start = components(a).parent
     grown = components(b, start=start)
-    assert np.array_equal(start.parent, components(a).parent)
+    assert grown.parent is start
     fresh = components(union)
     assert np.array_equal(grown.parent, fresh.parent)
     assert np.array_equal(grown.roots, fresh.roots)
     assert np.array_equal(grown.sizes, fresh.sizes)
     sizes, labels = networkx_census(union)
-    assert grown.sizes.tolist() == sizes
+    assert component_order(grown)[0].tolist() == sizes
     assert np.array_equal(component_id(grown), labels)
 
 
@@ -333,7 +333,7 @@ def test_census_grown_from_half_the_rows_matches_the_union(name):
 
 def test_start_census_must_cover_the_same_vertices():
     with pytest.raises(ValueError):
-        components(MultiGraph(3, [[0, 1]]), start=components(MultiGraph(4, [])))
+        components(MultiGraph(3, [[0, 1]]), start=components(MultiGraph(4, [])).parent)
 
 
 @given(multigraphs())

@@ -223,8 +223,8 @@ def test_sweep_largest_component_grows_with_p(regular3):
 
 
 def test_sweep_takes_one_census_per_distinct_p(monkeypatch, mixture):
-    # Each census grows from the previous p's, through the module attribute
-    # that a tracer replaces.
+    # Each census grows from the previous p's parent array, through the
+    # module attribute that a tracer replaces.
     calls = []
 
     def counting(graph, start=None):
@@ -238,7 +238,8 @@ def test_sweep_takes_one_census_per_distinct_p(monkeypatch, mixture):
     for trial in range(3):
         starts = [start for start, _ in calls[4 * trial : 4 * trial + 4]]
         results = [result for _, result in calls[4 * trial : 4 * trial + 4]]
-        assert starts == [None] + results[:-1]
+        assert starts[0] is None
+        assert all(start is result.parent for start, result in zip(starts[1:], results[:-1]))
 
 
 def test_sweep_zero_retention(mixture_spec, capsys):

@@ -115,16 +115,6 @@ def test_components_peak_when_every_vertex_is_a_root():
     assert peak <= 4.5 * 8 * n
 
 
-def test_component_order_is_made_in_the_census_buffers():
-    # The order is sorted into the roots' and sizes' own arrays on first
-    # read. Measured: 2.7 KB on n = 10^5 roots. Decoding it into a fresh
-    # keys array and a fresh roots array: 2.00 n-sized int64 arrays.
-    n = 100_000
-    census = components(MultiGraph(n, np.empty((0, 2), dtype=np.int64)))
-    peak, _ = traced_peak(lambda: census.sizes)
-    assert peak <= 64 * 1024
-
-
 def test_components_peak_on_a_path_of_many_rounds():
     # A randomly labelled path takes 11 rounds, and the hooked ends of
     # rounds 2-11 are kept for the relabel: 0.50 n in all, 0.33 n of it
@@ -142,18 +132,19 @@ def test_components_peak_on_a_path_of_many_rounds():
 
 
 def test_components_peak_when_grown_from_a_start(graph):
-    # The rows marked at or above 1/2, hooked into the census of the rest.
-    # Measured: 3.05 n-sized int64 arrays (1.53 E), in the first round's
-    # jump: the copied parents, the half's re-read ends, nearly all of which
-    # differ, and the jump's two gathers. Re-reading all of the half's ends
-    # at once and compressing them: 3.39. The census of all the rows from
+    # The rows marked at or above 1/2, hooked into the parent array of the
+    # rest's census, grown in place. Measured: 2.05 n-sized int64 arrays
+    # (1.03 E), in the first round's jump: the half's re-read ends, nearly
+    # all of which differ, and the jump's two gathers. Copying the start's
+    # parents first: 3.05. Re-reading all of the half's ends at once and
+    # compressing them as well: 3.39. The census of all the rows from
     # scratch with whole-array re-reads: 3.87.
     n = graph.n
     below, above = retention_levels(graph, [0.5, 1.0], np.random.default_rng(17))
-    start = components(below)
+    start = components(below).parent
     peak, census = traced_peak(lambda: components(above, start=start))
     assert census.largest == components(graph).largest
-    assert peak <= 3.15 * 8 * n
+    assert peak <= 2.15 * 8 * n
 
 
 def op_edge_bytes(law, seed):
@@ -175,17 +166,31 @@ def test_local_census_op_peak(mixture, seed):
     assert peak <= 2.35 * edge_bytes
 
 
-@pytest.mark.parametrize("law, bound", [("mixture", 3.75), ("regular3", 2.40)])
-def test_sweep_op_peak(request, law, bound):
-    # The whole op over the benchmark's grid. Measured: 3.66 E on the
-    # mixture and 2.34 E on reg3, in the census at p = 0.45: the levels
-    # still to come, the last census and this one's working set. Keeping
-    # the degree sequence, the graph and every finished level alive
+BENCH_GRID = [0.3, 0.45, 0.5, 0.55, 0.7]
+
+
+@pytest.mark.parametrize(
+    "law, grid, bound",
+    [
+        pytest.param("mixture", BENCH_GRID, 3.0, id="mixture-3.0"),
+        pytest.param("regular3", BENCH_GRID, 2.40, id="regular3-2.4"),
+        pytest.param("mixture", [0.0, 1.0], 4.15, id="mixture-p0,1-4.15"),
+        pytest.param("regular3", [0.0, 1.0], 3.85, id="regular3-p0,1-3.85"),
+    ],
+)
+def test_sweep_op_peak(request, law, grid, bound):
+    # The whole op, over the benchmark's grid and over p = 0 and 1. Its
+    # peak is in a census: the levels still to come (at p = 1 every row),
+    # the red degrees and the parents beside the census's working set.
+    # Measured: 2.91 and 2.34 E on the mixture and reg3 over the benchmark's
+    # grid, 4.07 and 3.73 E over 0 and 1. Keeping the last census alive
+    # through the next, which copies its parents: 3.66, 2.34, 5.57 and
+    # 4.73 E. Keeping
+    # as well the degree sequence, the graph and every finished level alive
     # through the census loop, and ending the census with a whole-array
-    # gather: 5.46 and 3.95 E.
+    # gather: 5.46 and 3.95 E over the benchmark's grid.
     dist = request.getfixturevalue(law)
     edge_bytes = op_edge_bytes(dist, 1)
-    grid = [0.3, 0.45, 0.5, 0.55, 0.7]
     peak, _ = traced_peak(lambda: cmd_percolation_sweep(dist, 100_000, grid, 1, 1))
     assert peak <= bound * edge_bytes
 
