@@ -4,10 +4,11 @@ A "local property" is a predicate of a rooted graph that only looks at the
 ball of some finite radius around the root; the built-in kinds below cover
 component-size predicates, the root-degree predicate, and the bounded-degree
 ball predicate used by the concentration machinery. ``clauses`` is the one
-reading of a spec; ``property_mask`` and ``branching.limit_probability``
-both consume it. ``property_mask`` decides a property at every vertex in one
-vectorized pass (census or whole-array BFS steps over the edge rows), never
-one BFS per vertex; it is the one evaluator of properties on graphs.
+reading of a spec; ``property_mask``, ``property_counts`` and
+``branching.limit_probability`` consume it. A property is decided at every
+vertex in one vectorized pass (census or whole-array BFS steps over the edge
+rows), never one BFS per vertex, and its degree and ball clauses by one
+evaluator, which ``property_mask`` and ``property_counts`` share.
 """
 
 from __future__ import annotations
@@ -84,56 +85,83 @@ def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentC
 
     Min-label hooking with pointer jumping (Shiloach and Vishkin 1982) over
     the edge rows. Each round hooks every root to the smallest root it
-    shares an edge with, jumps pointers, re-reads each edge's ends as their
-    roots and drops the edges whose ends now share a root. Parents only ever
-    point down, so every root ends as its component's smallest vertex. A
-    root that survives two rounds has absorbed all of its neighbours, so
-    every two rounds at least halve the roots of each component: at most
-    ~2 log2(n) rounds (4-5 on configuration graphs at n = 10^5-10^6, 12-13
-    on randomly labelled paths of 10^6 vertices).
+    shares an edge with, points every hooked vertex at a root, re-reads each
+    edge's ends as their roots and drops the edges whose ends now share a
+    root. Parents only ever point down, inside a component, so every root
+    ends as its component's smallest vertex. A root that survives two
+    rounds has absorbed all of its neighbours, so every two rounds at least
+    halve the roots of each component: at most ~2 log2(n) rounds (1-3 on
+    the mixture and reg3 at n = 10^5-10^6, 10-11 on randomly labelled paths
+    of 10^5-10^6 vertices).
 
-    The first round hooks along every edge, jumps the whole array once,
-    then jumps only the vertices that moved (6-19% on configuration graphs);
-    after it every vertex points at a root. In a later round every edge end
-    is a root, and only the larger ends (``hi``) are hooked, onto ends of
-    the same round, so every pointer chain that starts at a hooked end runs
-    through hooked ends to a root, and jumping the hooked ends alone makes
-    each of them point at a root. The round keeps its hooked ends. A
-    ``start`` array points every vertex at a root already, so it skips the
-    first round. Each re-read goes a block of rows at a time and
-    keeps only the rows whose ends differ (``_roots_apart``), so both ends
-    of every row are never held at once.
+    The first round hooks along every edge at once; a ``start`` array,
+    which points every vertex at a root already, stands in for it. With
+    fewer than 0.9 n rows (a sweep's first level holds 0.45 n), the round
+    gathers the whole array once into a copy and jumps only the vertices
+    that moved, and a grown census goes straight to the re-read. With more
+    (a mixture graph's n, reg3's 1.5 n), the round flattens the parents in
+    place, a block of vertices at a time (``_flatten``); then, with or
+    without ``start``, a hook pass hooks along every row, a block of rows at
+    a time with each block reading the hooks of the blocks before it
+    (``_hook_rows``), and a second flatten follows. That costs two n-wide
+    passes and one more read of the rows, and leaves few rows to re-read:
+    on the mixture {1: 1/2, 3: 1/2} at n = 10^6, about 0.15% of the rows
+    survive it, against 37.5% after the first round alone, and on reg3
+    none. Below 0.9 n rows the gathered copy costs less. Hooking every edge
+    at once before the pass keeps the pass from depending on the row
+    order: where the rows of a block share vertices (rows sorted by their
+    larger end, or running along a path), blocks of the pass alone hook no
+    more than that round does. Either way every vertex then points at a
+    root.
+
+    In a later round every edge end is a root, and only the larger ends
+    (``hi``) are hooked, onto ends of the same round, so every pointer chain
+    that starts at a hooked end runs through hooked ends to a root, and
+    jumping the hooked ends alone makes each of them point at a root. The
+    round keeps its hooked ends. Each re-read goes a block of rows at a time
+    and keeps only the rows whose ends differ (``_roots_apart``), so both
+    ends of every row are never held at once.
 
     The other vertices may still point at a root that a later round hooked.
     The relabel goes through the kept ends latest round first: an end of
     round k points at a root of round k's end, which is final or an end of
     a later round, already relabelled, so one two-step gather per round
     makes every kept end point at its final root. Then every vertex points
-    at a root of the first round's end (or of ``start``), and each such
-    root is final or a kept, relabelled end, so every vertex points at a
-    vertex that points at its final root. The last gather reads
-    ``parent[parent[v]]`` in place, a block of vertices at a time: a read
-    of a vertex already gathered still names that vertex's final root, so
-    the blocks may run in any order, and no second n-sized array is made.
+    at a root of the first round's end (the hook pass's flatten included,
+    or ``start`` where no pass ran), and each such root is final or a
+    kept, relabelled end, so every vertex points at a vertex that points
+    at its final root. The last gather reads ``parent[parent[v]]`` in
+    place, a block of vertices at a time: a read of a vertex already
+    gathered still names that vertex's final root, so the blocks may run in
+    any order, and no second n-sized array is made.
     The census holds the roots in vertex order and their sizes from one
-    bincount.
+    bincount. With the hook pass that count beside the parents is the
+    peak: 1.10 edge arrays on the mixture at n = 10^5, against 1.27 in the
+    second round's jump after the gathered copy.
     """
     n = graph.n
     lo, hi = graph.edges[:, 0], graph.edges[:, 1]
+    dense = 10 * lo.size >= 9 * n
     if start is None:
         # The first round reads the edge columns as they are: rows are (min,
         # max), and a loop hooks its vertex to itself, which changes nothing.
         parent = np.arange(n)
         np.minimum.at(parent, hi, lo)
-        jumped = parent.take(parent)
-        moved = np.flatnonzero(jumped != parent)
-        parent = jumped
-        _jump(parent, moved)
-        del moved
+        if dense:
+            _flatten(parent)
+        else:
+            jumped = parent.take(parent)
+            moved = np.flatnonzero(jumped != parent)
+            parent = jumped
+            _jump(parent, moved)
+            del moved
     elif start.size != n:
         raise ValueError(f"start parent array has {start.size} vertices, the graph {n}")
     else:
         parent = start
+    if dense:
+        _hook_rows(parent, graph.edges)
+        _flatten(parent)
     lo, hi = _roots_apart(parent, lo, hi)
     hooked = []
     while lo.size:
@@ -186,6 +214,44 @@ def _roots_apart(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.n
         hi[filled:stop] = parent[v[kept]]
         filled = stop
     return lo, hi
+
+
+def _hook_rows(parent: np.ndarray, edges: np.ndarray) -> None:
+    """Hook along every row in place, a block of rows at a time, where every
+    vertex points at a root: read each end three parents up and hook the
+    larger read onto the smaller.
+
+    A block reads the hooks of the blocks before it, so a component can
+    merge along many rows in one pass, as in union-find. A read that an
+    earlier block hooked is no longer a root, and hooking it again keeps
+    the smaller of its two parents and drops the other link. Every pointer
+    still goes down inside its component, and the re-read after the pass
+    reads every row again, so no link is lost for good. Reads three parents
+    up: on the mixture at n = 10^6 the re-read keeps 119k rows after reads
+    one parent up, 102k two up, 1.3k three up and 0.4k four up, and three
+    took the least time.
+    """
+    for first in range(0, edges.shape[0], BLOCK):
+        ends = parent.take(parent.take(parent.take(edges[first : first + BLOCK])))
+        lo, hi = ends[:, 0], ends[:, 1]
+        np.minimum.at(parent, np.maximum(lo, hi), np.minimum(lo, hi))
+
+
+def _flatten(parent: np.ndarray) -> None:
+    """Point every vertex at its root, in place, a block of vertices at a
+    time. Parents point down, so a chain leaves a block only for blocks
+    already flattened; each step writes the block's jumps back, so a chain
+    inside the block takes O(log) steps, as in ``_jump``."""
+    for first in range(0, parent.size, BLOCK):
+        block = parent[first : first + BLOCK]
+        up = parent.take(block)
+        while True:
+            upup = parent.take(up)
+            if np.array_equal(upup, up):
+                break
+            block[...] = upup
+            up = upup
+        block[...] = up
 
 
 def _jump(parent: np.ndarray, movers: np.ndarray) -> None:
@@ -267,13 +333,35 @@ def property_mask(
     prop: LocalProperty,
     census: ComponentCensus | None = None,
 ) -> np.ndarray:
-    """Boolean vector: entry v says whether the graph rooted at v has prop."""
+    """Boolean vector: entry v says whether the graph rooted at v has prop.
+
+    The degree and ball clauses are decided first, so a census taken here
+    runs beside their bools alone."""
     root_degrees, balls, low, high = clauses(prop)
-    if (low, high) == (1, math.inf):
-        mask = np.ones(graph.n, dtype=bool)
-    else:
+    mask = _degree_and_ball_mask(graph, root_degrees, balls)
+    if (low, high) != (1, math.inf):
         census = census if census is not None else components(graph)
-        mask = census.size_window_mask(low, high)
+        mask &= census.size_window_mask(low, high)
+    return mask
+
+
+def property_counts(graph: MultiGraph, prop: LocalProperty) -> tuple[int, int]:
+    """Vertices whose rooted view satisfies prop: in the whole graph, and in
+    its largest component. As in ``property_mask``, the degree and ball
+    clauses come before the census, so the degrees are freed before it."""
+    root_degrees, balls, low, high = clauses(prop)
+    mask = _degree_and_ball_mask(graph, root_degrees, balls)
+    census = components(graph)
+    if (low, high) != (1, math.inf):
+        mask &= census.size_window_mask(low, high)
+    return int(mask.sum()), int((mask & census.giant_mask()).sum())
+
+
+def _degree_and_ball_mask(
+    graph: MultiGraph, root_degrees: list[int], balls: list[tuple[int, int]]
+) -> np.ndarray:
+    """The vertices where every root-degree and every ball clause holds."""
+    mask = np.ones(graph.n, dtype=bool)
     if root_degrees or balls:
         degrees = graph.degrees()
         for d in root_degrees:
@@ -286,21 +374,15 @@ def property_mask(
     return mask
 
 
-def property_counts(graph: MultiGraph, prop: LocalProperty) -> tuple[int, int]:
-    """Vertices whose rooted view satisfies prop: in the whole graph, and in
-    its largest component."""
-    census = components(graph)
-    mask = property_mask(graph, prop, census)
-    return int(mask.sum()), int((mask & census.giant_mask()).sum())
-
-
 def _within_distance(graph: MultiGraph, sources: np.ndarray, t: int) -> np.ndarray:
     """Vertices within graph distance <= t of any source (multi-source BFS).
 
     Each step marks both ends of every edge row with a reached end (a loop
     marks its own, already reached, vertex); a step that reaches nothing new
-    ends it.
+    ends it. Without a source there is no step to take.
     """
+    if not sources.any():
+        return sources
     # [] on the strided columns: take would first copy each to a contiguous one.
     u, v = graph.edges[:, 0], graph.edges[:, 1]
     reached = sources.copy()

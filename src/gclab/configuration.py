@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .distributions import Distribution, mean, sample
+from .distributions import BLOCK, Distribution, mean, sample
 from .errors import Exhausted, SamePair, SpecParseError
 
 # Largest n + n*E(D), vertices plus expected stubs, that
@@ -27,12 +27,6 @@ from .errors import Exhausted, SamePair, SpecParseError
 # host, numpy 2.4). The cap holds a run near 1.2 GB, and keeps the pair
 # keys u*n + v below 2.5e15, far from int64 overflow.
 MAX_GRAPH_ELEMENTS = 5 * 10**7
-
-# Vertices or edge rows per block where a stage streams over the graph (the
-# stub owners, the rows' (min, max) order, the census's re-reads of the
-# ends and its last gather), so its temporaries are a few hundred KB, not
-# edge-sized.
-BLOCK = 8192
 
 # Largest vertex count of a MultiGraph: the pair keys u*n + v of is_simple
 # and adjacency_csr reach n^2 - 1, which must not wrap int64.

@@ -19,6 +19,12 @@ from .errors import BadProbability, SpecParseError, ZeroMean
 # Raw masses must land in [1 - SUM_SLACK, 1 + SUM_SLACK] before renormalization.
 SUM_SLACK = 1e-9
 
+# Draws, vertices or edge rows per block where a stage streams over an
+# n- or edge-sized array (the degree draw, the stub owners, the rows' (min,
+# max) order, the census's flattens, re-reads of the ends and last gather),
+# so its temporaries are a few hundred KB, not edge-sized.
+BLOCK = 8192
+
 # Largest support value a spec document may name. Dense vectors, and so the
 # memory of ``thin``, grow with max_support, and the time of ``thin`` with its
 # square: one call on {1: 1/2, 10^4: 1/2} takes ~0.17 s, on {1: 1/2, 10^5: 1/2}
@@ -176,11 +182,31 @@ def supercriticality(dist: Distribution) -> float:
 
 def sample(dist: Distribution, rng: np.random.Generator, size) -> np.ndarray:
     """Draw ``size`` values as an int64 array; deterministic given the
-    generator state. ``size`` is required: there is no scalar draw."""
+    generator state. ``size`` is required: there is no scalar draw.
+
+    Inversion with a guide table (Chen and Asau 1974): a uniform u in
+    [j/w, (j+1)/w) starts at guide[j], the index of j/w, and steps up
+    while the cdf there is at most u, so every index is
+    ``searchsorted(cdf, u, side="right")``. w is the least power of two
+    at or above the number of atoms, so u*w is exact and below w. The
+    values go a block at a time into the uniforms' own buffer.
+    """
     cdf = np.cumsum(dist.probs)
     cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    return dist.support.take(idx)
+    width = 1 << (cdf.size - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(width) / width, side="right")
+    draws = rng.random(size)
+    values = draws.view(np.int64)
+    for first in range(0, draws.size, BLOCK):
+        u = draws[first : first + BLOCK]
+        idx = guide.take((u * width).astype(np.int64))
+        while True:
+            step = cdf.take(idx) <= u
+            if not step.any():
+                break
+            idx += step
+        values[first : first + BLOCK] = dist.support.take(idx)
+    return values
 
 
 def from_json_doc(doc) -> Distribution:

@@ -17,6 +17,7 @@ from gclab.census import (
     components,
     property_counts,
     property_mask,
+    _within_distance,
 )
 from gclab.configuration import MultiGraph, sample_degree_sequence, sample_pairing, to_multigraph
 from gclab.distributions import Distribution
@@ -207,7 +208,9 @@ def _properties(draw_int):
     """One property of every kind, plus conjunctions, from small parameters.
 
     One conjunction holds every kind and a second ball clause of another
-    radius; another nests both ball clauses and a size clause.
+    radius; another nests both ball clauses and a size clause. A ball
+    clause no vertex can break, which has no source to search from, comes
+    alone and beside one that can.
     """
     kinds = [
         RootDegree(draw_int(0, 4)),
@@ -216,11 +219,14 @@ def _properties(draw_int):
         MaxDegreeBall(draw_int(0, 4), draw_int(0, 2)),
     ]
     second_ball = MaxDegreeBall(draw_int(0, 4), (kinds[3].t + draw_int(1, 2)) % 3)
+    sourceless = MaxDegreeBall(10**6, draw_int(0, 2))
     return kinds + [
         Conjunction((kinds[0], kinds[3])),
         Conjunction((kinds[1], kinds[2])),
         Conjunction((*kinds, second_ball)),
         Conjunction((kinds[3], Conjunction((second_ball, Conjunction((kinds[2],)))))),
+        sourceless,
+        Conjunction((sourceless, kinds[3])),
     ]
 
 
@@ -340,6 +346,18 @@ def test_count_max_degree_ball_star():
 def test_count_max_degree_ball_saturates(mixture_graph):
     delta = int(mixture_graph.degrees().max())
     assert property_counts(mixture_graph, MaxDegreeBall(delta, 2))[0] == mixture_graph.n
+
+
+def test_ball_search_without_sources_reads_no_row():
+    # Where no vertex is heavier than delta the search has no source, and it
+    # ends before its first step.
+    class Rowless:
+        @property
+        def edges(self):
+            pytest.fail("the search read the rows")
+
+    for t in range(3):
+        assert not _within_distance(Rowless(), np.zeros(5, dtype=bool), t).any()
 
 
 def test_count_in_giant_on_connected_graph():

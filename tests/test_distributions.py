@@ -263,6 +263,71 @@ def test_sample_deterministic_per_seed(mixture):
     np.testing.assert_array_equal(a, b)
 
 
+class FixedUniforms:
+    """Stands in for a generator: ``random`` hands out the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
+
+
+def searchsorted_reference(dist, uniforms):
+    cdf = np.cumsum(dist.probs)
+    cdf[-1] = 1.0
+    return dist.support.take(np.searchsorted(cdf, uniforms, side="right"))
+
+
+def law_for_guide_tests(rng, case):
+    """1-40 atoms on support <= 10^4. Every third law has masses in 64ths,
+    so its cdf values fall on guide-table boundaries; the others are
+    Dirichlet draws, some with many tiny atoms crowded into one interval."""
+    atoms = int(rng.integers(1, 41))
+    values = rng.choice(10**4 + 1, size=atoms, replace=False)
+    if case % 3 == 0:
+        cuts = np.sort(rng.choice(np.arange(1, 64), size=min(atoms, 64) - 1, replace=False))
+        probs = np.diff(np.concatenate([[0], cuts, [64]])) / 64
+    else:
+        probs = rng.dirichlet(np.full(atoms, rng.choice([0.05, 1.0, 20.0])))
+    return Distribution(list(zip(values.tolist(), probs.tolist())))
+
+
+def test_sample_matches_searchsorted_on_random_laws():
+    # Uniforms from a generator, more than a block of them, plus the edge
+    # cases: 0, the largest doubles below 1 (1 - 2^-53 is the largest that
+    # a generator draws), every cdf value, every 64th, and their neighbours.
+    rng = np.random.default_rng(1974)
+    # The fifth cdf value is the double nearest 5/6, and u just below it has
+    # fl(6u) = 5: a guide of 6 entries read at floor(6u) would start that u
+    # past its index.
+    crowded = [0.8293333333333334, 0.001, 0.001, 0.001, 0.001, 0.16666666666666663]
+    assert np.cumsum(crowded)[4] == 5 / 6 and math.floor(6 * np.nextafter(5 / 6, 0)) == 5
+    laws = [Distribution(list(enumerate(crowded)))]
+    laws += [law_for_guide_tests(rng, case) for case in range(300)]
+    for law in laws:
+        cdf = np.cumsum(law.probs)
+        edges = np.concatenate([cdf[:-1], np.arange(64) / 64])
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        special = np.concatenate([edges, [0.0, 1 - 2**-53, 1 - 2**-52, 1 - 3 * 2**-53]])
+        uniforms = np.concatenate([rng.random(9000), special[(special >= 0.0) & (special < 1.0)]])
+        draws = sample(law, FixedUniforms(uniforms), uniforms.size)
+        assert draws.dtype == np.int64
+        np.testing.assert_array_equal(draws, searchsorted_reference(law, uniforms), err_msg=repr(law))
+
+
+def test_sample_draws_one_uniform_per_value(mixture):
+    # The same values as inverting the generator's own uniforms, and the
+    # stream after the draw is where those uniforms leave it.
+    four = Distribution([(1, 0.3), (2, 0.2), (4, 0.3), (6, 0.2)])
+    for law in (mixture, four):
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        draws = sample(law, ours, 20_000)
+        np.testing.assert_array_equal(draws, searchsorted_reference(law, theirs.random(20_000)))
+        assert ours.random() == theirs.random()
+
+
 def test_sample_histogram_concentration(rng):
     d = random_distribution(rng, max_value=6)
     n = 1_000_000

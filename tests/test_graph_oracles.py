@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.sparse import triu
 
+from gclab import census
 from gclab.census import ComponentSizeAtLeast, ComponentSizeExactly, MaxDegreeBall, components, property_mask
 from gclab.configuration import BLOCK, MultiGraph, is_simple, sample_degree_sequence, sample_pairing, to_multigraph
 from gclab.distributions import Distribution
@@ -202,7 +203,83 @@ def _configuration_graph_over_blocks(rng):
     return to_multigraph(sample_pairing(sample_degree_sequence(law, 3 * BLOCK, rng), rng))
 
 
+def _path_in_label_order(rng):
+    # The first round hooks each vertex onto the one before it: one chain
+    # through every block, a block long inside each, which the in-place
+    # flatten must halve rather than walk.
+    n = 3 * BLOCK + 5
+    return MultiGraph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
+
+
+def _random_path_over_blocks(rng):
+    # The rows run along the path, so a block's rows share their vertices:
+    # the hook pass reads the first round's hooks and little else.
+    n = 4 * BLOCK
+    labels = rng.permutation(n)
+    return MultiGraph(n, np.column_stack([labels[:-1], labels[1:]]))
+
+
+def _star_over_blocks_with_largest_centre(rng):
+    # The first round hooks only the centre, onto the smallest leaf; the
+    # hook pass then reads every leaf's row as that leaf and the centre's
+    # root, and hooks the leaves one block after another.
+    n = 2 * BLOCK + 1
+    leaves = rng.permutation(n - 1)
+    return MultiGraph(n, np.column_stack([leaves, np.full(n - 1, n - 1)]))
+
+
+def _small_components_over_blocks(rng):
+    # Pairs joined by two parallel rows, triangles and 4-cycles under random
+    # labels: n rows, and every component is finished after the first round
+    # and the hook pass.
+    kinds = rng.integers(2, 5, size=BLOCK)
+    n = int(kinds.sum())
+    first = np.cumsum(kinds) - kinds
+    offsets = np.arange(n) - np.repeat(first, kinds)
+    nxt = np.where(offsets + 1 == np.repeat(kinds, kinds), np.repeat(first, kinds), np.arange(1, n + 1))
+    edges = np.column_stack([np.arange(n), nxt])
+    return MultiGraph(n, rng.permutation(n)[edges])
+
+
+def _loops_and_parallel_edges_over_blocks(rng):
+    # Every vertex carries a loop, and each row of a random forest of
+    # paths appears twice, in either order: the rows are dense, most of
+    # them repeats.
+    n = 3 * BLOCK
+    labels = rng.permutation(n)
+    steps = np.column_stack([labels[:-1], labels[1:]])[rng.random(n - 1) < 0.9]
+    loops = np.column_stack([np.arange(n), np.arange(n)])
+    return MultiGraph(n, np.concatenate([steps, loops, steps[:, ::-1]]))
+
+
+def _configuration_rows_sorted_by_larger_end(rng):
+    # A mixture graph over three blocks with its rows sorted by their larger
+    # end: each block's rows share their larger ends, the order in which a
+    # hook pass without a first round before it hooks no more than that
+    # round does.
+    graph = _configuration_graph_over_blocks(rng)
+    return MultiGraph(graph.n, graph.edges[np.argsort(graph.edges[:, 1], kind="stable")])
+
+
+# Graphs with at least 0.9 n rows, whose census takes the hook pass: the
+# networkx checks above run them through it, not around it.
+HOOK_PASS_GRAPHS = (
+    "path_in_label_order",
+    "random_path_over_blocks",
+    "star_over_blocks_with_largest_centre",
+    "small_components_over_blocks",
+    "loops_and_parallel_edges_over_blocks",
+    "configuration_rows_sorted_by_larger_end",
+)
+
+
 ADVERSARIAL_GRAPHS = {
+    "path_in_label_order": _path_in_label_order,
+    "random_path_over_blocks": _random_path_over_blocks,
+    "star_over_blocks_with_largest_centre": _star_over_blocks_with_largest_centre,
+    "small_components_over_blocks": _small_components_over_blocks,
+    "loops_and_parallel_edges_over_blocks": _loops_and_parallel_edges_over_blocks,
+    "configuration_rows_sorted_by_larger_end": _configuration_rows_sorted_by_larger_end,
     "random_path": _random_path,
     "configuration_graph_over_blocks": _configuration_graph_over_blocks,
     "isolated_vertices_around_a_path": _isolated_vertices_around_a_path,
@@ -329,6 +406,78 @@ def test_census_grown_from_half_the_rows_matches_the_union(name):
     halves = [MultiGraph(graph.n, graph.edges[keep]) for keep in (first, ~first)]
     assert_grows_to_the_union(*halves)
     assert_grows_to_the_union(*halves[::-1])
+
+
+def count_hook_passes(monkeypatch) -> list:
+    """Record the rows of each hook pass that ``components`` makes."""
+    calls = []
+    hook_rows = census._hook_rows
+
+    def counted(parent, edges):
+        calls.append(edges.shape[0])
+        hook_rows(parent, edges)
+
+    monkeypatch.setattr(census, "_hook_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", HOOK_PASS_GRAPHS)
+def test_dense_graphs_take_the_hook_pass(monkeypatch, name):
+    graph = ADVERSARIAL_GRAPHS[name](np.random.default_rng(1982))
+    passes = count_hook_passes(monkeypatch)
+    components(graph)
+    assert passes == [graph.num_edges]
+
+
+@pytest.mark.parametrize("name", HOOK_PASS_GRAPHS)
+def test_flatten_points_every_vertex_at_its_root(name):
+    # The first round's parents, flattened in place, against following each
+    # vertex's pointers one step at a time on a copy.
+    graph = ADVERSARIAL_GRAPHS[name](np.random.default_rng(1982))
+    parent = np.arange(graph.n)
+    np.minimum.at(parent, graph.edges[:, 1], graph.edges[:, 0])
+    roots = parent.copy()
+    while not np.array_equal(roots, parent[roots]):
+        roots = parent[roots]
+    census._flatten(parent)
+    assert np.array_equal(parent, roots)
+
+
+def test_sparse_graphs_skip_the_hook_pass(monkeypatch):
+    # 0.4 n rows, taken fresh and grown from a start, as a sweep's levels
+    # are (on reg3 its first holds 0.45 n rows, the later ones fewer).
+    graph = _configuration_graph_over_blocks(np.random.default_rng(1982))
+    sparse = MultiGraph(graph.n, graph.edges[: 2 * graph.n // 5])
+    passes = count_hook_passes(monkeypatch)
+    start = components(sparse).parent
+    components(sparse, start=start)
+    assert passes == []
+
+
+@pytest.mark.parametrize("name", HOOK_PASS_GRAPHS)
+def test_census_grown_from_a_hooked_census_matches_the_union(monkeypatch, name):
+    # Nineteen rows in twenty go to the start census, which takes the hook
+    # pass; the rest, too few for a pass of their own, are hooked into its
+    # parent array in rounds.
+    graph = ADVERSARIAL_GRAPHS[name](np.random.default_rng(1982))
+    first = np.random.default_rng(2001).random(graph.num_edges) < 0.95
+    start, rest = (MultiGraph(graph.n, graph.edges[keep]) for keep in (first, ~first))
+    passes = count_hook_passes(monkeypatch)
+    components(start)
+    assert passes == [start.num_edges]
+    monkeypatch.undo()
+    assert_grows_to_the_union(start, rest)
+
+
+def test_census_grown_by_dense_rows_matches_the_union(monkeypatch):
+    # One row in twenty goes to the start census, too few for the hook
+    # pass; the rest take it from the start's roots.
+    graph = _configuration_graph_over_blocks(np.random.default_rng(1982))
+    first = np.random.default_rng(2001).random(graph.num_edges) < 0.05
+    start, rest = (MultiGraph(graph.n, graph.edges[keep]) for keep in (first, ~first))
+    passes = count_hook_passes(monkeypatch)
+    assert_grows_to_the_union(start, rest)
+    assert passes == [rest.num_edges, graph.num_edges]
 
 
 def test_start_census_must_cover_the_same_vertices():
