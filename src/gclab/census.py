@@ -8,7 +8,8 @@ reading of a spec; ``property_mask``, ``property_counts`` and
 ``branching.limit_probability`` consume it. A property is decided at every
 vertex in one vectorized pass (census or whole-array BFS steps over the edge
 rows), never one BFS per vertex, and its degree and ball clauses by one
-evaluator, which ``property_mask`` and ``property_counts`` share.
+evaluator, ``degree_and_ball_mask``, which ``property_mask`` and
+``property_counts`` share.
 """
 
 from __future__ import annotations
@@ -94,25 +95,24 @@ def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentC
     the mixture and reg3 at n = 10^5-10^6, 10-11 on randomly labelled paths
     of 10^5-10^6 vertices).
 
-    The first round hooks along every edge at once; a ``start`` array,
-    which points every vertex at a root already, stands in for it. With
-    fewer than 0.9 n rows (a sweep's first level holds 0.45 n), the round
-    gathers the whole array once into a copy and jumps only the vertices
-    that moved, and a grown census goes straight to the re-read. With more
-    (a mixture graph's n, reg3's 1.5 n), the round flattens the parents in
-    place, a block of vertices at a time (``_flatten``); then, with or
-    without ``start``, a hook pass hooks along every row, a block of rows at
-    a time with each block reading the hooks of the blocks before it
-    (``_hook_rows``), and a second flatten follows. That costs two n-wide
-    passes and one more read of the rows, and leaves few rows to re-read:
-    on the mixture {1: 1/2, 3: 1/2} at n = 10^6, about 0.15% of the rows
-    survive it, against 37.5% after the first round alone, and on reg3
-    none. Below 0.9 n rows the gathered copy costs less. Hooking every edge
-    at once before the pass keeps the pass from depending on the row
-    order: where the rows of a block share vertices (rows sorted by their
-    larger end, or running along a path), blocks of the pass alone hook no
-    more than that round does. Either way every vertex then points at a
-    root.
+    The first round hooks along every edge at once, from ``arange``; a
+    ``start`` array, which points every vertex at a root already, stands in
+    for it. With at least 0.9 n rows (a mixture graph's n, reg3's 1.5 n), a
+    hook pass follows, with or without ``start``: it hooks along every row,
+    a block of rows at a time, with each block reading the hooks of the
+    blocks before it (``_hook_rows``). Then the parents are flattened in
+    place, a block of vertices at a time (``_jump`` on each block), in
+    every census from scratch and in every grown one that took the pass; a
+    grown census without the pass goes straight to the re-read. The pass
+    costs one more read of the rows and leaves few to re-read: on the
+    mixture {1: 1/2, 3: 1/2} at n = 10^6, about 0.4% of the rows survive
+    it, against 37.5% after the first round alone, and on reg3 none. Below
+    0.9 n rows (a sweep's first level holds 0.45 n) it costs more than it
+    saves. Hooking every edge at once before the pass keeps the pass from
+    depending on the row order: where the rows of a block share vertices
+    (rows sorted by their larger end, or running along a path), blocks of
+    the pass alone hook no more than that round does. Either way every
+    vertex then points at a root.
 
     In a later round every edge end is a root, and only the larger ends
     (``hi``) are hooked, onto ends of the same round, so every pointer chain
@@ -127,17 +127,16 @@ def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentC
     round k points at a root of round k's end, which is final or an end of
     a later round, already relabelled, so one two-step gather per round
     makes every kept end point at its final root. Then every vertex points
-    at a root of the first round's end (the hook pass's flatten included,
-    or ``start`` where no pass ran), and each such root is final or a
-    kept, relabelled end, so every vertex points at a vertex that points
-    at its final root. The last gather reads ``parent[parent[v]]`` in
-    place, a block of vertices at a time: a read of a vertex already
-    gathered still names that vertex's final root, so the blocks may run in
-    any order, and no second n-sized array is made.
+    at a root of the first round's end (the flatten's, or ``start``'s
+    where no flatten ran), and each such root is final or a kept,
+    relabelled end, so every vertex points at a vertex that points at its
+    final root. The last gather reads ``parent[parent[v]]`` in place, a
+    block of vertices at a time: a read of a vertex already gathered still
+    names that vertex's final root, so the blocks may run in any order, and
+    no second n-sized array is made.
     The census holds the roots in vertex order and their sizes from one
-    bincount. With the hook pass that count beside the parents is the
-    peak: 1.10 edge arrays on the mixture at n = 10^5, against 1.27 in the
-    second round's jump after the gathered copy.
+    bincount. That count beside the parents is the peak: 1.10 edge arrays
+    on the mixture at n = 10^5.
     """
     n = graph.n
     lo, hi = graph.edges[:, 0], graph.edges[:, 1]
@@ -147,21 +146,15 @@ def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentC
         # max), and a loop hooks its vertex to itself, which changes nothing.
         parent = np.arange(n)
         np.minimum.at(parent, hi, lo)
-        if dense:
-            _flatten(parent)
-        else:
-            jumped = parent.take(parent)
-            moved = np.flatnonzero(jumped != parent)
-            parent = jumped
-            _jump(parent, moved)
-            del moved
     elif start.size != n:
         raise ValueError(f"start parent array has {start.size} vertices, the graph {n}")
     else:
         parent = start
     if dense:
         _hook_rows(parent, graph.edges)
-        _flatten(parent)
+    if start is None or dense:
+        for first in range(0, n, BLOCK):
+            _jump(parent, slice(first, first + BLOCK))
     lo, hi = _roots_apart(parent, lo, hi)
     hooked = []
     while lo.size:
@@ -218,18 +211,18 @@ def _roots_apart(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.n
 
 def _hook_rows(parent: np.ndarray, edges: np.ndarray) -> None:
     """Hook along every row in place, a block of rows at a time, where every
-    vertex points at a root: read each end three parents up and hook the
-    larger read onto the smaller.
+    parent points down inside its component: read each end three parents
+    up and hook the larger read onto the smaller.
 
     A block reads the hooks of the blocks before it, so a component can
-    merge along many rows in one pass, as in union-find. A read that an
-    earlier block hooked is no longer a root, and hooking it again keeps
-    the smaller of its two parents and drops the other link. Every pointer
-    still goes down inside its component, and the re-read after the pass
-    reads every row again, so no link is lost for good. Reads three parents
-    up: on the mixture at n = 10^6 the re-read keeps 119k rows after reads
-    one parent up, 102k two up, 1.3k three up and 0.4k four up, and three
-    took the least time.
+    merge along many rows in one pass, as in union-find. A read that the
+    first round or an earlier block hooked is not a root, and hooking it
+    again keeps the smaller of its two parents and drops the other link.
+    Every pointer still goes down inside its component, and the re-read
+    after the pass reads every row again, so no link is lost for good.
+    Reads three parents up: on the mixture at n = 10^6 the re-read keeps
+    140k rows after reads one parent up, 111k two up, 4.1k three up and
+    0.9k four up, and three took the least time.
     """
     for first in range(0, edges.shape[0], BLOCK):
         ends = parent.take(parent.take(parent.take(edges[first : first + BLOCK])))
@@ -237,27 +230,12 @@ def _hook_rows(parent: np.ndarray, edges: np.ndarray) -> None:
         np.minimum.at(parent, np.maximum(lo, hi), np.minimum(lo, hi))
 
 
-def _flatten(parent: np.ndarray) -> None:
-    """Point every vertex at its root, in place, a block of vertices at a
-    time. Parents point down, so a chain leaves a block only for blocks
-    already flattened; each step writes the block's jumps back, so a chain
-    inside the block takes O(log) steps, as in ``_jump``."""
-    for first in range(0, parent.size, BLOCK):
-        block = parent[first : first + BLOCK]
-        up = parent.take(block)
-        while True:
-            upup = parent.take(up)
-            if np.array_equal(upup, up):
-                break
-            block[...] = upup
-            up = upup
-        block[...] = up
-
-
-def _jump(parent: np.ndarray, movers: np.ndarray) -> None:
-    """Jump the movers' pointers in place until each points at a root; every
-    chain from a mover must run through movers and vertices at a root."""
-    up = parent.take(movers)
+def _jump(parent: np.ndarray, movers: np.ndarray | slice) -> None:
+    """Jump the movers' pointers (an index array or a slice) in place until
+    each points at a root; every chain from a mover must run through movers
+    and vertices at a root, as a block's does once the blocks below it are
+    flat, parents pointing down. A chain among movers takes O(log) steps."""
+    up = parent[movers]
     while True:
         upup = parent.take(up)
         if np.array_equal(upup, up):
@@ -337,36 +315,45 @@ def property_mask(
 
     The degree and ball clauses are decided first, so a census taken here
     runs beside their bools alone."""
-    root_degrees, balls, low, high = clauses(prop)
-    mask = _degree_and_ball_mask(graph, root_degrees, balls)
+    mask = degree_and_ball_mask(graph, prop)
+    _, _, low, high = clauses(prop)
     if (low, high) != (1, math.inf):
         census = census if census is not None else components(graph)
         mask &= census.size_window_mask(low, high)
     return mask
 
 
-def property_counts(graph: MultiGraph, prop: LocalProperty) -> tuple[int, int]:
+def property_counts(
+    graph: MultiGraph, prop: LocalProperty, mask: np.ndarray | None = None
+) -> tuple[int, int]:
     """Vertices whose rooted view satisfies prop: in the whole graph, and in
-    its largest component. As in ``property_mask``, the degree and ball
-    clauses come before the census, so the degrees are freed before it."""
-    root_degrees, balls, low, high = clauses(prop)
-    mask = _degree_and_ball_mask(graph, root_degrees, balls)
+    its largest component. ``mask``, where given, is
+    ``degree_and_ball_mask(graph, prop)``, which this then owns. As in
+    ``property_mask``, the degree and ball clauses come before the census,
+    so the degrees are freed before it."""
+    if mask is None:
+        mask = degree_and_ball_mask(graph, prop)
+    _, _, low, high = clauses(prop)
     census = components(graph)
     if (low, high) != (1, math.inf):
         mask &= census.size_window_mask(low, high)
     return int(mask.sum()), int((mask & census.giant_mask()).sum())
 
 
-def _degree_and_ball_mask(
-    graph: MultiGraph, root_degrees: list[int], balls: list[tuple[int, int]]
+def degree_and_ball_mask(
+    graph: MultiGraph, prop: LocalProperty, degrees: np.ndarray | None = None
 ) -> np.ndarray:
-    """The vertices where every root-degree and every ball clause holds."""
+    """The vertices where every root-degree and every ball clause of prop
+    holds. ``degrees`` are the graph's degrees where the caller drew them;
+    else they are counted from the rows."""
+    root_degrees, balls, _, _ = clauses(prop)
     mask = np.ones(graph.n, dtype=bool)
     if root_degrees or balls:
-        degrees = graph.degrees()
+        if degrees is None:
+            degrees = graph.degrees()
         for d in root_degrees:
             mask &= degrees == d
-        # Only the bools outlive the degrees into the BFS.
+        # Counted here, only the bools outlive the degrees into the BFS.
         heavy = [degrees > delta for delta, _ in balls]
         del degrees
         for (_, t), sources in zip(balls, heavy):

@@ -62,9 +62,6 @@ class DegreeSequence:
     def __len__(self):
         return int(self.degrees.size)
 
-    def __iter__(self):
-        return iter(self.degrees.tolist())
-
     def __eq__(self, other):
         if not isinstance(other, DegreeSequence):
             return NotImplemented
@@ -118,13 +115,8 @@ class MultiGraph:
     __slots__ = ("n", "edges", "_adj", "_inc")
 
     def __init__(self, n: int, edges):
-        self._own(int(n), _int64_array(edges, "edge endpoints").reshape(-1, 2).copy())
-
-    def _own(self, n: int, rows: np.ndarray) -> MultiGraph:
-        """Check rows, a writable int64 (m, 2) array that no one else holds,
-        put each in (min, max) order in place, a block at a time, and keep
-        them as the edges; returns self. The checks are reductions, so the
-        blocks' min columns are all this allocates."""
+        n = int(n)
+        rows = _int64_array(edges, "edge endpoints").reshape(-1, 2).copy()
         if n > MAX_VERTICES:
             raise ValueError(
                 f"n = {n} exceeds MAX_VERTICES = {MAX_VERTICES}: "
@@ -132,12 +124,7 @@ class MultiGraph:
             )
         if rows.size and (rows.min() < 0 or rows.max() >= n):
             raise ValueError("edge endpoint outside vertex range")
-        for first in range(0, rows.shape[0], BLOCK):
-            u, v = rows[first : first + BLOCK].T
-            smaller = np.minimum(u, v)
-            np.maximum(u, v, out=v)
-            u[...] = smaller
-        return self._adopt(n, rows)
+        self._adopt(n, _order_rows(rows))
 
     def _adopt(self, n: int, rows: np.ndarray) -> MultiGraph:
         """Freeze and keep rows, already int64 (min, max) pairs below n, as
@@ -204,6 +191,18 @@ class MultiGraph:
 
     def __repr__(self):
         return f"MultiGraph(n={self.n}, m={self.num_edges})"
+
+
+def _order_rows(rows: np.ndarray) -> np.ndarray:
+    """Put each row of rows, a writable int64 (m, 2) array, in (min, max)
+    order in place, a block at a time, and return it; the blocks' min
+    columns are all this allocates."""
+    for first in range(0, rows.shape[0], BLOCK):
+        u, v = rows[first : first + BLOCK].T
+        smaller = np.minimum(u, v)
+        np.maximum(u, v, out=v)
+        u[...] = smaller
+    return rows
 
 
 def conf_distance(degrees: DegreeSequence | np.ndarray, dist: Distribution) -> float:
@@ -293,11 +292,12 @@ def sample_multigraph(ds: DegreeSequence, rng: np.random.Generator) -> MultiGrap
     ``sample_pairing`` where stub identities matter (switchings).
 
     The shuffled owners become the edge rows in place, so the peak is the
-    one stub-sized array plus a block's temporaries.
+    one stub-sized array plus a block's temporaries. They are vertex ids
+    below n by construction, so the graph adopts them unchecked.
     """
     owner = _stub_owners(ds)
     rng.shuffle(owner)
-    return MultiGraph.__new__(MultiGraph)._own(len(ds), owner.reshape(-1, 2))
+    return MultiGraph.__new__(MultiGraph)._adopt(len(ds), _order_rows(owner.reshape(-1, 2)))
 
 
 def apply_switching(pairing: Pairing, pair1_index: int, pair2_index: int) -> Pairing:

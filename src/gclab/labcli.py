@@ -164,16 +164,20 @@ def _trial_graph(
     trial: int,
     simple: bool = False,
     max_attempts: int = 200,
-) -> configuration.MultiGraph:
+    with_degrees: bool = False,
+) -> configuration.MultiGraph | tuple[configuration.MultiGraph, np.ndarray]:
     """The graph of one trial, from the substream keyed by the trial alone:
     its degrees, then a pairing of them (``simple``: the first simple one).
     The degree sequence dies at return, so a census runs beside the graph
-    alone."""
+    alone; ``with_degrees`` returns (graph, its degree array) instead, for a
+    caller that reads the degrees and drops them before its census."""
     rng = trial_rng(seed, trial)
     ds = configuration.sample_degree_sequence(dist, n, rng)
     if simple:
-        return configuration.sample_simple(ds, rng, max_attempts)
-    return configuration.sample_multigraph(ds, rng)
+        graph = configuration.sample_simple(ds, rng, max_attempts)
+    else:
+        graph = configuration.sample_multigraph(ds, rng)
+    return (graph, ds.degrees) if with_degrees else graph
 
 
 def cmd_giant(
@@ -306,7 +310,10 @@ def cmd_local_census(
             predicted_giant = branching.giant_degree_fractions(dist).get(prop.d, 0.0)
         except DegenerateDistribution:
             pass
-    whole, giant = census.property_counts(_trial_graph(dist, n, seed, 0), prop)
+    graph, degrees = _trial_graph(dist, n, seed, 0, with_degrees=True)
+    mask = census.degree_and_ball_mask(graph, prop, degrees)
+    del degrees  # else they would sit beside the census
+    whole, giant = census.property_counts(graph, prop, mask)
     return ExperimentRecord(
         experiment="local-census",
         params={"n": n, "seed": seed, "property": property_spec},

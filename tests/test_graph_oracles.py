@@ -431,15 +431,17 @@ def test_dense_graphs_take_the_hook_pass(monkeypatch, name):
 
 @pytest.mark.parametrize("name", HOOK_PASS_GRAPHS)
 def test_flatten_points_every_vertex_at_its_root(name):
-    # The first round's parents, flattened in place, against following each
-    # vertex's pointers one step at a time on a copy.
+    # The first round's parents, flattened in place by ``_jump`` a block of
+    # vertices at a time, against following each vertex's pointers one step
+    # at a time on a copy.
     graph = ADVERSARIAL_GRAPHS[name](np.random.default_rng(1982))
     parent = np.arange(graph.n)
     np.minimum.at(parent, graph.edges[:, 1], graph.edges[:, 0])
     roots = parent.copy()
     while not np.array_equal(roots, parent[roots]):
         roots = parent[roots]
-    census._flatten(parent)
+    for first in range(0, graph.n, BLOCK):
+        census._jump(parent, slice(first, first + BLOCK))
     assert np.array_equal(parent, roots)
 
 

@@ -11,6 +11,7 @@ import gclab
 from gclab import branching, census, configuration, labcli
 from gclab.census import Conjunction, MaxDegreeBall, RootDegree, components
 from gclab.configuration import (
+    MultiGraph,
     conf_distance,
     sample_degree_sequence,
     sample_pairing,
@@ -363,6 +364,28 @@ def test_local_census_large_component_spec(mixture_spec, capsys):
     assert rec["predicted"]["whole_fraction"] == branching.rho_k_table(mixture, 60).rho_k[59]
     assert set(rec["params"]) == {"n", "seed", "property"}
     assert set(rec["predicted"]) == {"whole_fraction", "giant_fraction"}
+
+
+@pytest.mark.parametrize("seed, bumped", [(7, 4), (9, 2)])
+@pytest.mark.parametrize("spec", ["root_degree:3&max_degree_ball:3,2&component_at_least:2", "max_degree_ball:2,1"])
+def test_local_census_reads_the_degrees_it_drew(monkeypatch, mixture, seed, bumped, spec):
+    # Odd n on the mixture: the parity bump leaves the last vertex at degree
+    # 2 or 4. The op decides the degree and ball clauses from the degrees of
+    # its draw, never counting them from the rows, and its fractions match
+    # property_mask on the same trial's graph.
+    n = 20001
+    graph = labcli._trial_graph(mixture, n, seed, 0)
+    assert graph.degrees()[-1] == bumped
+    mask = census.property_mask(graph, labcli.parse_property_spec(spec))
+    whole, giant = int(mask.sum()), int((mask & components(graph).giant_mask()).sum())
+
+    def refuse(self):
+        raise AssertionError("the degrees were counted from the rows")
+
+    monkeypatch.setattr(MultiGraph, "degrees", refuse)
+    observed = labcli.cmd_local_census(mixture, n, spec, seed).observed
+    assert observed == {"whole_fraction": whole / n, "giant_fraction": giant / n}
+    assert all(type(value) is float for value in observed.values())
 
 
 @pytest.mark.parametrize(

@@ -91,13 +91,15 @@ def test_sample_multigraph_peak(degree_sequence):
 
 def test_components_peak(graph):
     # Measured: 1.10 E, in the last count (the parents, bincount's counts,
-    # a flag per count, the roots and their sizes); the hook pass, its
-    # flattens and the re-read after them hold the parents and a flag per
-    # row: 0.57 E. The first round's whole-array gather into a copy, and
-    # a second round that jumps the hooked ends of the 37.5% of rows that
-    # survive it (its two gathers beside those ends): 1.27 E. Re-reading
-    # both ends of every row at once and compressing them: 1.94 E. Copying
-    # the loop-free edges before the first round as well: 3.06 E.
+    # a flag per count, the roots and their sizes); the first round, the
+    # hook pass, the flatten and the re-read after them hold the parents, a
+    # flag per row and a block's temporaries: 0.75 E (0.57 E at n = 10^6,
+    # where the blocks weigh less). The first round's whole-array gather
+    # into a copy, and a second round that jumps the hooked ends of the
+    # 37.5% of rows that survive it (its two gathers beside those ends):
+    # 1.27 E. Re-reading both ends of every row at once and compressing
+    # them: 1.94 E. Copying the loop-free edges before the first round as
+    # well: 3.06 E.
     peak, _ = traced_peak(lambda: components(graph))
     assert peak <= 1.15 * graph.edges.nbytes
 
@@ -129,9 +131,10 @@ def test_components_peak_when_every_vertex_is_a_root():
 
 
 def test_components_peak_on_a_path_of_many_rounds():
-    # A randomly labelled path takes 10 rounds. The hook pass leaves a
-    # ninth of the rows to round 2, and rounds 2-10 keep their hooked ends
-    # for the relabel, 0.16 n in all, 0.11 n of it from round 2. Measured:
+    # A randomly labelled path takes 10 rounds. The first round and the
+    # hook pass leave a ninth of the rows to round 2, and rounds 2-10 keep
+    # their hooked ends for the relabel, 0.17 n in all, 0.11 n of it from
+    # round 2. Measured:
     # 2.13 n-sized int64 arrays, in the last count (the parents, bincount's
     # counts and a flag per count). The first round's gather into a copy
     # without the hook pass leaves a third of the rows, and the peak in
@@ -173,7 +176,9 @@ def test_local_census_op_peak(mixture, seed):
     # The whole op at the benchmark's spec, with its own graph: E is that
     # graph's edge bytes, 16 per stub pair of the op's degree draw. Its peak
     # is the census's last count beside the graph and the property's bools,
-    # which are decided before the census. Measured: 2.17 and 2.17 E. The
+    # which are decided before the census from the degrees of the draw,
+    # dropped before it. Measured: 2.17 and 2.17 E. The drawn degrees kept
+    # alive through the census: 2.67 and 2.67 E. The
     # census without its hook pass (its peak in round 2's jump), with the
     # degree and ball clauses decided after it: 2.28 and 2.28 E (2.27 E,
     # 36.4 MB, at n = 10^6). Both ends of every row re-read at once beside
