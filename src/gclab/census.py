@@ -101,18 +101,26 @@ def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentC
     hook pass follows, with or without ``start``: it hooks along every row,
     a block of rows at a time, with each block reading the hooks of the
     blocks before it (``_hook_rows``). Then the parents are flattened in
-    place, a block of vertices at a time (``_jump`` on each block), in
-    every census from scratch and in every grown one that took the pass; a
-    grown census without the pass goes straight to the re-read. The pass
-    costs one more read of the rows and leaves few to re-read: on the
-    mixture {1: 1/2, 3: 1/2} at n = 10^6, about 0.4% of the rows survive
-    it, against 37.5% after the first round alone, and on reg3 none. Below
-    0.9 n rows (a sweep's first level holds 0.45 n) it costs more than it
-    saves. Hooking every edge at once before the pass keeps the pass from
-    depending on the row order: where the rows of a block share vertices
-    (rows sorted by their larger end, or running along a path), blocks of
-    the pass alone hook no more than that round does. Either way every
-    vertex then points at a root.
+    place, a block of vertices at a time (``_jump`` on each block), so
+    every vertex points at a root. The pass costs one more read of the
+    rows and leaves few to re-read: on the mixture {1: 1/2, 3: 1/2} at
+    n = 10^6, about 0.4% of the rows survive it, against 37.5% after the
+    first round alone, and on reg3 none. Below 0.9 n rows (a sweep's first
+    level holds 0.45 n) it costs more than it saves. Hooking every edge at
+    once before the pass keeps the pass from depending on the row order:
+    where the rows of a block share vertices (rows sorted by their larger
+    end, or running along a path), blocks of the pass alone hook no more
+    than that round does.
+
+    Below 0.9 n rows nothing is flattened: a census from scratch goes from
+    the first round straight to the re-read, so round 2's ends are the
+    first round's parents, not all of them roots. Round 2 still leaves its
+    hooked ends at roots. If the first round points v at p and p at q < p,
+    it pointed v at p through a row (p, v), whose re-read is (q, p): p is
+    a larger end of round 2, hooked and jumped, and its link to q survives
+    as that row. So every round-2 end and every parent is a root, such a
+    p, or a root that round 2 hooks, and every chain from a hooked end of
+    round 2 runs through hooked ends to a root, as in a later round.
 
     In a later round every edge end is a root, and only the larger ends
     (``hi``) are hooked, onto ends of the same round, so every pointer chain
@@ -126,17 +134,26 @@ def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentC
     The relabel goes through the kept ends latest round first: an end of
     round k points at a root of round k's end, which is final or an end of
     a later round, already relabelled, so one two-step gather per round
-    makes every kept end point at its final root. Then every vertex points
-    at a root of the first round's end (the flatten's, or ``start``'s
-    where no flatten ran), and each such root is final or a kept,
-    relabelled end, so every vertex points at a vertex that points at its
-    final root. The last gather reads ``parent[parent[v]]`` in place, a
-    block of vertices at a time: a read of a vertex already gathered still
-    names that vertex's final root, so the blocks may run in any order, and
-    no second n-sized array is made.
-    The census holds the roots in vertex order and their sizes from one
-    bincount. That count beside the parents is the peak: 1.10 edge arrays
-    on the mixture at n = 10^5.
+    makes every kept end point at its final root. A vertex that no round
+    hooked still points where the first round, the flatten or ``start``
+    left it: at a root then, or at a p as above, a kept end of round 2.
+    Each such root is final or a kept, relabelled end, so every vertex
+    points at a vertex that points at its final root. The last gather
+    reads ``parent[parent[v]]`` in place, a block of vertices at a time: a
+    read of a vertex already gathered still names that vertex's final
+    root, so the blocks may run in any order, and no second n-sized array
+    is made.
+
+    The census holds the roots in vertex order and their sizes. With at
+    least 0.9 n rows they come from the roots' ranks (``_ranked_census``):
+    the last gather flags the roots, and the sizes are a count of length
+    c, the number of components. Its peak is then in the rounds before
+    (the parents, a flag per row and a block's temporaries): 0.75 edge
+    arrays on the mixture at n = 10^5, against 1.10 for a count of length
+    n. Below 0.9 n rows (each level of a reg3 sweep over p = 0.3, 0.45,
+    0.5, 0.55, 0.7 holds 0.075-0.45 n) the sizes are one bincount over the
+    n vertex ids, whose nonzero entries name the roots: there the ranked
+    tail's two more passes over the parents cost more time than the count.
     """
     n = graph.n
     lo, hi = graph.edges[:, 0], graph.edges[:, 1]
@@ -152,7 +169,6 @@ def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentC
         parent = start
     if dense:
         _hook_rows(parent, graph.edges)
-    if start is None or dense:
         for first in range(0, n, BLOCK):
             _jump(parent, slice(first, first + BLOCK))
     lo, hi = _roots_apart(parent, lo, hi)
@@ -169,6 +185,8 @@ def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentC
         ends = hooked.pop()
         parent[ends] = parent.take(parent.take(ends))
         del ends  # else the name would keep round 2's ends past the final gather
+    if dense:
+        return _ranked_census(parent)
     for first in range(0, n, BLOCK):
         block = parent[first : first + BLOCK]
         block[...] = parent.take(block)
@@ -177,6 +195,36 @@ def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentC
     counts = np.bincount(parent, minlength=n)
     roots = np.flatnonzero(counts != 0)
     return ComponentCensus(parent, roots, counts.take(roots))
+
+
+def _ranked_census(parent: np.ndarray) -> ComponentCensus:
+    """The census from parents that each point at a vertex that points at
+    the final root, counted by the roots' ranks, without an n-sized count.
+
+    The last gather flags the roots as it goes. For a moment each root's
+    slot holds its rank in vertex order, and every other vertex reads its
+    root's rank in place, a block at a time: only roots are read and only
+    other vertices are written, so the blocks may run in any order. The
+    sizes are a count of length c, the number of components, and the ranks
+    then go back to roots in place.
+    """
+    n = parent.size
+    is_root = np.empty(n, dtype=bool)
+    for first in range(0, n, BLOCK):
+        block = parent[first : first + BLOCK]
+        block[...] = parent.take(block)
+        np.equal(block, np.arange(first, first + block.size), out=is_root[first : first + BLOCK])
+    roots = np.flatnonzero(is_root)
+    parent[roots] = np.arange(roots.size)
+    for first in range(0, n, BLOCK):
+        block = parent[first : first + BLOCK]
+        np.copyto(block, parent.take(block), where=~is_root[first : first + BLOCK])
+    del is_root
+    sizes = np.bincount(parent, minlength=roots.size)
+    for first in range(0, n, BLOCK):
+        block = parent[first : first + BLOCK]
+        block[...] = roots.take(block)
+    return ComponentCensus(parent, roots, sizes)
 
 
 def _roots_apart(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +385,7 @@ def property_counts(
     census = components(graph)
     if (low, high) != (1, math.inf):
         mask &= census.size_window_mask(low, high)
-    return int(mask.sum()), int((mask & census.giant_mask()).sum())
+    return int(np.count_nonzero(mask)), int(np.count_nonzero(mask & census.giant_mask()))
 
 
 def degree_and_ball_mask(

@@ -18,14 +18,14 @@ from .errors import Exhausted, SamePair, SpecParseError
 
 # Largest n + n*E(D), vertices plus expected stubs, that
 # sample_degree_sequence draws for. Peak resident memory of one giant,
-# sweep or local-census run grows by at most about 24 bytes per vertex or
+# sweep or local-census run grows by at most about 23 bytes per vertex or
 # stub: from n = 40000 to 120000 on {1: 1/2, 99: 1/2} (4.08e6 more
-# elements) giant and local-census took 24 bytes each and a three-value
-# sweep 18, or 22 with p = 0 in its grid; from n = 10^6 to 3*10^6 on
-# {1: 1/2, 3: 1/2} giant took 13, local-census 13 and a three-value sweep
-# 17, or 20 with p = 0 in its grid (ru_maxrss of one CLI run, 2-core x86
-# host, numpy 2.4). The cap holds a run near 1.2 GB, and keeps the pair
-# keys u*n + v below 2.5e15, far from int64 overflow.
+# elements) giant took 8 bytes each, local-census 12 and a three-value
+# sweep 19, or 23 with p = 0 and 1 in its grid; from n = 10^6 to 3*10^6 on
+# {1: 1/2, 3: 1/2} giant took 9, local-census 10 and a three-value sweep
+# 17, or 22 with p = 0 and 1 in its grid (ru_maxrss of one CLI run, least
+# of three, 2-core x86 host, numpy 2.4). The cap holds a run near 1.2 GB,
+# and keeps the pair keys u*n + v below 2.5e15, far from int64 overflow.
 MAX_GRAPH_ELEMENTS = 5 * 10**7
 
 # Largest vertex count of a MultiGraph: the pair keys u*n + v of is_simple
@@ -44,7 +44,7 @@ def _int64_array(values, what: str) -> np.ndarray:
 class DegreeSequence:
     """Finite list of vertex degrees with even sum, n * max degree within int64."""
 
-    __slots__ = ("degrees",)
+    __slots__ = ("degrees", "size")
 
     def __init__(self, degrees):
         arr = _int64_array(degrees, "degrees")
@@ -54,10 +54,13 @@ class DegreeSequence:
             raise ValueError("degrees must be non-negative")
         if int(arr.max()) > np.iinfo(np.int64).max // arr.size:
             raise ValueError("degree sum may overflow int64")
-        if int(arr.sum()) % 2 != 0:
+        total = int(arr.sum())
+        if total % 2 != 0:
             raise ValueError("degree sum must be even")
         arr.setflags(write=False)
         self.degrees = arr
+        # Number of edges m = (sum of degrees) / 2.
+        self.size = total // 2
 
     def __len__(self):
         return int(self.degrees.size)
@@ -75,11 +78,6 @@ class DegreeSequence:
     def __repr__(self):
         shown = self.degrees.tolist() if len(self) <= 12 else "..."
         return f"DegreeSequence(n={len(self)}, m={self.size}, degrees={shown})"
-
-    @property
-    def size(self) -> int:
-        """Number of edges m = (sum of degrees) / 2."""
-        return int(self.degrees.sum()) // 2
 
 
 class Pairing:

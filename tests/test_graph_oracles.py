@@ -1,12 +1,15 @@
 """The graph layer against networkx on small multigraphs with loops and
-parallel edges; networkx shares no code with the numpy/scipy paths."""
+parallel edges, and the census against scipy's ``connected_components`` on
+sparse graphs over several blocks. networkx shares no code with the
+numpy/scipy paths, and the census none with scipy."""
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.sparse import triu
+from scipy.sparse import coo_matrix, triu
+from scipy.sparse.csgraph import connected_components
 
 from gclab import census
 from gclab.census import ComponentSizeAtLeast, ComponentSizeExactly, MaxDegreeBall, components, property_mask
@@ -480,6 +483,63 @@ def test_census_grown_by_dense_rows_matches_the_union(monkeypatch):
     passes = count_hook_passes(monkeypatch)
     assert_grows_to_the_union(start, rest)
     assert passes == [rest.num_edges, graph.num_edges]
+
+
+def _sparse_random_rows(rng, n):
+    m = int(rng.integers(n // 4, 4 * n // 5))
+    return rng.integers(0, n, size=(m, 2))
+
+
+def _path_rows(rng, n, labels, shuffled):
+    # A path through 4/5 of the vertices, the rest isolated.
+    path = labels[: 4 * n // 5]
+    rows = np.column_stack([path[:-1], path[1:]])
+    return rows[rng.permutation(rows.shape[0])] if shuffled else rows
+
+
+def _random_forest_rows(rng, n):
+    # Each vertex after the first hooks onto a uniform earlier one with
+    # probability 4/5 (a forest of random recursive trees), under random
+    # labels, the rows in random order.
+    children = np.flatnonzero(rng.random(n) < 0.8)
+    children = children[children > 0]
+    parents = (rng.random(children.size) * children).astype(np.int64)
+    labels = rng.permutation(n)
+    rows = labels[np.column_stack([parents, children])]
+    return rows[rng.permutation(rows.shape[0])]
+
+
+SPARSE_ROWS = {
+    "random_rows": _sparse_random_rows,
+    "path_in_label_order": lambda rng, n: _path_rows(rng, n, np.arange(n), False),
+    "path_in_label_order_shuffled_rows": lambda rng, n: _path_rows(rng, n, np.arange(n), True),
+    "random_path": lambda rng, n: _path_rows(rng, n, rng.permutation(n), False),
+    "random_path_shuffled_rows": lambda rng, n: _path_rows(rng, n, rng.permutation(n), True),
+    "random_forest": _random_forest_rows,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_ROWS))
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_census_from_scratch_matches_scipy(monkeypatch, name, seed):
+    # Graphs of fewer than 0.9 n rows over four blocks and more: the census
+    # goes from its first round to the re-read without a flatten. Each
+    # vertex's root is its component's smallest vertex by scipy's labels.
+    rng = np.random.default_rng([seed, sorted(SPARSE_ROWS).index(name)])
+    n = 4 * BLOCK + int(rng.integers(0, BLOCK))
+    graph = MultiGraph(n, SPARSE_ROWS[name](rng, n))
+    assert 10 * graph.num_edges < 9 * n
+    passes = count_hook_passes(monkeypatch)
+    cen = components(graph)
+    assert passes == []
+    rows = graph.edges
+    adjacency = coo_matrix((np.ones(rows.shape[0]), (rows[:, 0], rows[:, 1])), shape=(n, n))
+    count, labels = connected_components(adjacency, directed=False)
+    smallest = np.full(count, n)
+    np.minimum.at(smallest, labels, np.arange(n))
+    assert np.array_equal(cen.parent, smallest[labels])
+    assert np.array_equal(cen.roots, np.sort(smallest))
+    assert np.array_equal(cen.sizes, np.bincount(labels)[np.argsort(smallest)])
 
 
 def test_start_census_must_cover_the_same_vertices():

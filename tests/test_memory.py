@@ -90,18 +90,20 @@ def test_sample_multigraph_peak(degree_sequence):
 
 
 def test_components_peak(graph):
-    # Measured: 1.10 E, in the last count (the parents, bincount's counts,
-    # a flag per count, the roots and their sizes); the first round, the
-    # hook pass, the flatten and the re-read after them hold the parents, a
-    # flag per row and a block's temporaries: 0.75 E (0.57 E at n = 10^6,
-    # where the blocks weigh less). The first round's whole-array gather
+    # Measured: 0.75 E, in the first round, the hook pass, the flatten and
+    # the re-read after them (the parents, a flag per row and a block's
+    # temporaries; 0.57 E at n = 10^6, where the blocks weigh less). The
+    # tail that counts by the roots' ranks holds the parents, a flag per
+    # vertex and the roots: 0.65 E (0.64 E at n = 10^6). A count of length
+    # n at the end (bincount's counts beside the parents, a flag per count,
+    # the roots and their sizes): 1.10 E. The first round's whole-array gather
     # into a copy, and a second round that jumps the hooked ends of the
     # 37.5% of rows that survive it (its two gathers beside those ends):
     # 1.27 E. Re-reading both ends of every row at once and compressing
     # them: 1.94 E. Copying the loop-free edges before the first round as
     # well: 3.06 E.
     peak, _ = traced_peak(lambda: components(graph))
-    assert peak <= 1.15 * graph.edges.nbytes
+    assert peak <= 0.8 * graph.edges.nbytes
 
 
 def test_components_peak_when_components_finish_early():
@@ -135,8 +137,10 @@ def test_components_peak_on_a_path_of_many_rounds():
     # hook pass leave a ninth of the rows to round 2, and rounds 2-10 keep
     # their hooked ends for the relabel, 0.17 n in all, 0.11 n of it from
     # round 2. Measured:
-    # 2.13 n-sized int64 arrays, in the last count (the parents, bincount's
-    # counts and a flag per count). The first round's gather into a copy
+    # 1.49 n-sized int64 arrays, in the hook pass (the parents and a block's
+    # temporaries); round 2's jump 1.46, the tail that counts by the roots'
+    # ranks 1.22. A count of length n at the end (the parents, bincount's
+    # counts and a flag per count): 2.13. The first round's gather into a copy
     # without the hook pass leaves a third of the rows, and the peak in
     # round 2's jump (the parents, those rows' ends and the jump's two
     # gathers): 2.37. Re-reading both ends of every row at once: 3.79;
@@ -146,7 +150,7 @@ def test_components_peak_on_a_path_of_many_rounds():
     graph = MultiGraph(n, np.column_stack([labels[:-1], labels[1:]]))
     peak, census = traced_peak(lambda: components(graph))
     assert census.largest == n
-    assert peak <= 2.2 * 8 * n
+    assert peak <= 1.6 * 8 * n
 
 
 def test_components_peak_when_grown_from_a_start(graph):
@@ -175,10 +179,11 @@ def op_edge_bytes(law, seed):
 def test_local_census_op_peak(mixture, seed):
     # The whole op at the benchmark's spec, with its own graph: E is that
     # graph's edge bytes, 16 per stub pair of the op's degree draw. Its peak
-    # is the census's last count beside the graph and the property's bools,
-    # which are decided before the census from the degrees of the draw,
-    # dropped before it. Measured: 2.17 and 2.17 E. The drawn degrees kept
-    # alive through the census: 2.67 and 2.67 E. The
+    # is the census beside the graph and the property's bools, which are
+    # decided before the census from the degrees of the draw, dropped
+    # before it. Measured: 1.81 and 1.81 E. The census ending in a count of
+    # length n: 2.17 and 2.17 E. The drawn degrees kept alive through the
+    # census as well: 2.67 and 2.67 E. The
     # census without its hook pass (its peak in round 2's jump), with the
     # degree and ball clauses decided after it: 2.28 and 2.28 E (2.27 E,
     # 36.4 MB, at n = 10^6). Both ends of every row re-read at once beside
@@ -186,7 +191,7 @@ def test_local_census_op_peak(mixture, seed):
     spec = "max_degree_ball:3,2&component_at_least:2"
     edge_bytes = op_edge_bytes(mixture, seed)
     peak, _ = traced_peak(lambda: cmd_local_census(mixture, 100_000, spec, seed))
-    assert peak <= 2.25 * edge_bytes
+    assert peak <= 1.9 * edge_bytes
 
 
 BENCH_GRID = [0.3, 0.45, 0.5, 0.55, 0.7]
@@ -224,17 +229,20 @@ def test_sweep_op_peak(request, law, grid, bound):
 @pytest.mark.parametrize(
     "law, simple, trials, seed, bound",
     [
-        pytest.param("mixture", False, 1, 1, 2.2, id="mixture-seed1"),
-        pytest.param("mixture", False, 1, 2, 2.2, id="mixture-seed2"),
-        pytest.param("mixture", False, 2, 1, 2.2, id="mixture-two-trials"),
+        pytest.param("mixture", False, 1, 1, 1.85, id="mixture-seed1"),
+        pytest.param("mixture", False, 1, 2, 1.85, id="mixture-seed2"),
+        pytest.param("mixture", False, 2, 1, 1.85, id="mixture-two-trials"),
         pytest.param("regular3", True, 1, 1, 2.0, id="regular3-simple"),
     ],
 )
 def test_giant_op_peak(request, law, simple, trials, seed, bound):
-    # The whole op; its peak is the census beside the graph. Measured: 2.11
-    # and 2.11 E on the mixture, 2.11 E over two trials, 1.90 E for reg3
-    # with --simple. The census without its hook pass: 2.27, 2.28, 2.30 and
-    # 2.37 E. The degree sequence alive through the census as well: 2.78
+    # The whole op; its peak is the census beside the graph. Measured: 1.75
+    # and 1.75 E on the mixture, 1.76 E over two trials, 1.90 E for reg3
+    # with --simple, whose peak is in drawing the simple graph (the census
+    # beside it: 1.50 E). The census ending in a count of length n: 2.11,
+    # 2.11, 2.11 and 1.90 E. The census without its hook pass as well:
+    # 2.27, 2.28, 2.30 and 2.37 E. The degree sequence alive through the
+    # census as well: 2.78
     # and 2.70 E; the first trial's census alive through the second's:
     # 2.87 E, and with its degree sequence and graph as well: 3.37 E.
     dist = request.getfixturevalue(law)
