@@ -14,7 +14,6 @@ from .branching import (
     ProgenyTable,
     SurvivalSolution,
     critical_percolation,
-    giant_degree_fractions,
     limit_probability,
     rho,
     rho_k_table,

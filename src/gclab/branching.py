@@ -47,7 +47,9 @@ class SurvivalSolution:
     ``x_plus`` is the largest root in [0,1] of the one-stage survival
     equation; ``rho`` the two-stage survival probability derived from it.
     ``giant_shares`` maps each degree d of the support to its share of rho,
-    the limiting fraction of vertices of degree d in the giant.
+    r_d (1 - (1 - x_plus)^d), the limiting fraction of vertices that have
+    degree d and sit in the giant: the very terms summed into rho, exactly
+    0.0 for d = 0.
     ``iterations`` counts Newton steps (0 when the subcritical short-circuit
     answered). ``residual`` is |E[y^Z] - y| at the returned extinction
     probability y = 1 - x_plus, 0 for E(D) = 0. ``converged`` is true when a step below the
@@ -296,12 +298,3 @@ def critical_percolation(dist: Distribution) -> float:
         raise NoThreshold("E(D(D-1)) = 0: no percolation threshold")
     return mean(dist) / second_factorial
 
-
-def giant_degree_fractions(dist: Distribution) -> dict[int, float]:
-    """Limiting fraction of vertices that have degree d and sit in the giant.
-
-    One entry per degree d of the support: r_d (1 - (1 - x_plus)^d), taken
-    as -r_d expm1(d log(1 - x_plus)), the very terms that solve_x_plus sums
-    into rho. Exactly 0.0 for d = 0.
-    """
-    return solve_x_plus(dist).giant_shares

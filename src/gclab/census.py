@@ -371,16 +371,12 @@ def property_mask(
     return mask
 
 
-def property_counts(
-    graph: MultiGraph, prop: LocalProperty, mask: np.ndarray | None = None
-) -> tuple[int, int]:
+def property_counts(graph: MultiGraph, prop: LocalProperty, mask: np.ndarray) -> tuple[int, int]:
     """Vertices whose rooted view satisfies prop: in the whole graph, and in
-    its largest component. ``mask``, where given, is
-    ``degree_and_ball_mask(graph, prop)``, which this then owns. As in
-    ``property_mask``, the degree and ball clauses come before the census,
-    so the degrees are freed before it."""
-    if mask is None:
-        mask = degree_and_ball_mask(graph, prop)
+    its largest component. ``mask`` is ``degree_and_ball_mask(graph, prop)``,
+    which this then owns: as in ``property_mask``, the degree and ball
+    clauses are decided before the census, so the degrees are freed before
+    it."""
     _, _, low, high = clauses(prop)
     census = components(graph)
     if (low, high) != (1, math.inf):

@@ -156,10 +156,10 @@ class MultiGraph:
 
         Its upper triangle is built from the sorted pair keys u*n + v of the
         non-loop rows, so it needs no COO conversion and no duplicate merge.
+        No CLI command reads it: it serves the tests and perfbench's tracer,
+        and needs scipy from the ``test`` extra, imported here.
         """
         if self._adj is None:
-            # scipy.sparse is imported here, not at module level: no CLI
-            # command reads a sparse matrix, and it adds ~90 ms to import.
             from scipy.sparse import csr_matrix
 
             n = self.n
@@ -178,7 +178,9 @@ class MultiGraph:
         return self._adj
 
     def incidence_csr(self):
-        """Boolean n x m CSR matrix: row v's ``indices`` are v's edge ids, a loop's once."""
+        """Boolean n x m CSR matrix: row v's ``indices`` are v's edge ids, a
+        loop's once. Like ``adjacency_csr``, it serves the tests and
+        perfbench's tracer and needs scipy from the ``test`` extra."""
         if self._inc is None:
             from scipy.sparse import csr_matrix
 
@@ -203,16 +205,14 @@ def _order_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def conf_distance(degrees: DegreeSequence | np.ndarray, dist: Distribution) -> float:
+def conf_distance(degrees: np.ndarray, dist: Distribution) -> float:
     """Edge-weighted l1 distance between the empirical degree law and dist.
 
-    ``degrees`` is a DegreeSequence or a non-empty 1-d int64 array of
-    non-negative degrees, read as it is, unchecked. Computed as
-    max( sum_i |i*n_i/n - i*r_i| , 1/n ); the 1/n floor makes the distance
-    vanish only along growing sequences.
+    ``degrees`` is a non-empty 1-d int64 array of non-negative degrees (a
+    DegreeSequence's ``degrees``, say), read as it is, unchecked. Computed
+    as max( sum_i |i*n_i/n - i*r_i| , 1/n ); the 1/n floor makes the
+    distance vanish only along growing sequences.
     """
-    if isinstance(degrees, DegreeSequence):
-        degrees = degrees.degrees
     n = degrees.size
     width = max(int(degrees.max()), dist.max_support) + 1
     # Not np.bincount: a DegreeSequence's degrees are frozen, and numpy 2.4

@@ -104,6 +104,16 @@ def _parse_property_clause(clause: str) -> LocalProperty:
 # analyze
 
 
+def _survival(law: Distribution) -> branching.SurvivalSolution | None:
+    """The survival fixed point of degree law ``law``, or None on {0, 2},
+    where L1/n and the giant's shares have no limit; so
+    ``getattr(_survival(law), "rho", None)`` is the limit of L1/n or None."""
+    try:
+        return branching.solve_x_plus(law)
+    except DegenerateDistribution:
+        return None
+
+
 def cmd_analyze(dist: Distribution, k_max: int = 20) -> dict:
     """Closed-form summary: moments, survival, small-tree masses, threshold."""
     report: dict = {
@@ -132,9 +142,8 @@ def cmd_analyze(dist: Distribution, k_max: int = 20) -> dict:
         report["p_c"] = branching.critical_percolation(dist)
     except NoThreshold:
         pass
-    try:
-        solution = branching.solve_x_plus(dist)
-    except DegenerateDistribution:
+    solution = _survival(dist)
+    if solution is None:
         report["caveat"] = DEGENERATE_CAVEAT
         return report
     report["x_plus"] = solution.x_plus
@@ -147,14 +156,6 @@ def cmd_analyze(dist: Distribution, k_max: int = 20) -> dict:
 
 # ---------------------------------------------------------------------------
 # giant
-
-
-def _predicted_rho(law: Distribution) -> float | None:
-    """Limit of L1/n for degree law ``law``, or None on {0, 2}, where there is none."""
-    try:
-        return branching.rho(law)
-    except DegenerateDistribution:
-        return None
 
 
 def _trial_graph(
@@ -190,7 +191,7 @@ def cmd_giant(
     k_small: int = 10,
 ) -> list[ExperimentRecord]:
     """Sample graphs, take the component census, and pair it with the limits."""
-    predicted_rho = _predicted_rho(dist)
+    predicted_rho = getattr(_survival(dist), "rho", None)
     predicted_rho_k = [float(x) for x in branching.rho_k_table(dist, k_small).rho_k]
     records = []
     for trial in range(trials):
@@ -242,7 +243,9 @@ def cmd_percolation_sweep(
         distributions.check_probability(p)
     grid = sorted(set(p_grid))
     thinned = {p: distributions.thin(dist, p) for p in grid}
-    predictions = {p: _predicted_rho(law) for p, law in thinned.items()}
+    # Only the floats are kept: a solution alive through the censuses moved
+    # glibc's heap into about 1,200 more page faults per op at n = 10^5.
+    predictions = {p: getattr(_survival(law), "rho", None) for p, law in thinned.items()}
     records = []
     for trial in range(trials):
         # Each array goes once its last reader is done: the graph once the
@@ -304,12 +307,8 @@ def cmd_local_census(
     """
     prop = parse_property_spec(property_spec)
     predicted_whole = branching.limit_probability(dist, prop)
-    predicted_giant = None
-    if isinstance(prop, RootDegree):
-        try:
-            predicted_giant = branching.giant_degree_fractions(dist).get(prop.d, 0.0)
-        except DegenerateDistribution:
-            pass
+    solution = _survival(dist) if isinstance(prop, RootDegree) else None
+    predicted_giant = None if solution is None else solution.giant_shares.get(prop.d, 0.0)
     graph, degrees = _trial_graph(dist, n, seed, 0, with_degrees=True)
     mask = census.degree_and_ball_mask(graph, prop, degrees)
     del degrees  # else they would sit beside the census

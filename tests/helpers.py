@@ -28,6 +28,8 @@ from gclab.census import (
     LocalProperty,
     MaxDegreeBall,
     RootDegree,
+    degree_and_ball_mask,
+    property_counts,
     property_mask,
 )
 from gclab.configuration import DegreeSequence, MultiGraph
@@ -495,6 +497,11 @@ def random_multigraph(rng: np.random.Generator, n: int, m: int) -> MultiGraph:
     """Arbitrary multigraph: m endpoints pairs drawn uniformly (loops allowed)."""
     edges = rng.integers(0, n, size=(m, 2))
     return MultiGraph(n, edges)
+
+
+def count_property(graph: MultiGraph, prop: LocalProperty) -> tuple[int, int]:
+    """``property_counts`` with the mask it counts, decided as local-census does."""
+    return property_counts(graph, prop, degree_and_ball_mask(graph, prop))
 
 
 def component_order(census) -> tuple[np.ndarray, np.ndarray]:

@@ -14,16 +14,15 @@ from scipy import stats
 
 from gclab.branching import (
     critical_percolation,
-    giant_degree_fractions,
     rho,
     rho_k_table,
+    solve_x_plus,
 )
 from gclab.census import (
     Conjunction,
     MaxDegreeBall,
     RootDegree,
     components,
-    property_counts,
 )
 from gclab.configuration import (
     DegreeSequence,
@@ -37,6 +36,7 @@ from gclab.percolation import color_edges, percolate, split
 
 from helpers import (
     all_matchings,
+    count_property,
     enumerate_tree_size_probs,
     exact_multigraph_law,
     matching_key,
@@ -129,10 +129,10 @@ def test_percolation_agreement(regular3):
 def test_giant_restricted_local_counts(mixture, mixture_trials):
     runs, _ = mixture_trials
     graph, _ = runs[0]
-    frac3 = property_counts(graph, RootDegree(3))[1] / N_LARGE
-    frac1 = property_counts(graph, RootDegree(1))[1] / N_LARGE
-    pred3 = giant_degree_fractions(mixture)[3]
-    pred1 = giant_degree_fractions(mixture)[1]
+    frac3 = count_property(graph, RootDegree(3))[1] / N_LARGE
+    frac1 = count_property(graph, RootDegree(1))[1] / N_LARGE
+    pred3 = solve_x_plus(mixture).giant_shares[3]
+    pred1 = solve_x_plus(mixture).giant_shares[1]
     identity_gap = abs(pred1 + pred3 - rho(mixture))
     ok = (
         abs(frac3 - 13 / 27) <= 0.02
@@ -216,7 +216,7 @@ def test_structural_lipschitz_suite(mixture):
         pairing = sample_pairing(ds, rng)
         graph = to_multigraph(pairing)
         cen = components(graph)
-        n_bounded = property_counts(graph, bounded)[0]
+        n_bounded = count_property(graph, bounded)[0]
         for _ in range(1000):
             i, j = rng.choice(pairing.pairs.shape[0], size=2, replace=False)
             pairing = apply_switching(pairing, int(i), int(j))
@@ -231,7 +231,7 @@ def test_structural_lipschitz_suite(mixture):
                     - cen.vertices_in_components_of_size(k)
                 )
                 nk_ok = nk_ok and delta_nk <= 4 * k
-            nxt_bounded = property_counts(graph, bounded)[0]
+            nxt_bounded = count_property(graph, bounded)[0]
             prop_ok = prop_ok and abs(nxt_bounded - n_bounded) <= 16 * delta**t
             cen, n_bounded = nxt, nxt_bounded
             total += 1

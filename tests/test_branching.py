@@ -9,7 +9,6 @@ from gclab.branching import (
     MAX_BALL_RADIUS,
     MAX_COMPONENT_SIZE,
     critical_percolation,
-    giant_degree_fractions,
     limit_probability,
     rho,
     rho_k_table,
@@ -537,7 +536,7 @@ def test_limit_probability_refuses_specs_past_the_caps(mixture):
 
 
 def test_giant_degree_fraction_mixture(mixture):
-    shares = giant_degree_fractions(mixture)
+    shares = solve_x_plus(mixture).giant_shares
     assert shares[3] == pytest.approx(13 / 27, abs=1e-10)
     assert shares[1] == pytest.approx(1 / 3, abs=1e-10)
     assert shares.get(7, 0.0) == 0.0
@@ -549,7 +548,7 @@ def test_giant_degree_fractions_sum_to_rho(mixture, rng):
         for _ in range(10)
     ]
     for d in dists:
-        total = sum(giant_degree_fractions(d).values())
+        total = sum(solve_x_plus(d).giant_shares.values())
         assert total == pytest.approx(rho(d), abs=1e-12)
 
 
@@ -558,7 +557,7 @@ def test_giant_degree_fractions_sum_to_rho_near_criticality(regular3):
     # to rho to rounding even where rho itself is tiny.
     for k in range(6, 13):
         d = thin(regular3, 0.5 + 10.0**-k)
-        total = sum(giant_degree_fractions(d).values())
+        total = sum(solve_x_plus(d).giant_shares.values())
         assert total == pytest.approx(rho(d), rel=1e-15, abs=0.0)
 
 
@@ -567,7 +566,7 @@ def test_giant_degree_fraction_is_plus_zero_off_the_support(mixture, regular3):
     zero_or_three = Distribution([(0, 0.5), (3, 0.5)])
     cases = [(regular3, 0), (regular3, 7), (regular3, -1), (mixture, 0), (mixture, 2), (zero_or_three, 0)]
     for d, degree in cases:
-        got = giant_degree_fractions(d).get(degree, 0.0)
+        got = solve_x_plus(d).giant_shares.get(degree, 0.0)
         assert got == 0.0 and np.copysign(1.0, got) == 1.0
 
 

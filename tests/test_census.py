@@ -15,7 +15,6 @@ from gclab.census import (
     RootDegree,
     clauses,
     components,
-    property_counts,
     property_mask,
     _within_distance,
 )
@@ -26,6 +25,7 @@ from helpers import (
     InsufficientRadius,
     component_id,
     component_order,
+    count_property,
     evaluate_property,
     neighborhood,
     radius,
@@ -85,7 +85,7 @@ def test_components_of_the_vertexless_graph():
     assert cen.largest == 0 and cen.second_largest == 0
     assert cen.sizes.size == 0
     assert cen.giant_mask().shape == (0,) and cen.giant_mask().dtype == bool
-    assert property_counts(MultiGraph(0, []), ComponentSizeAtLeast(1)) == (0, 0)
+    assert count_property(MultiGraph(0, []), ComponentSizeAtLeast(1)) == (0, 0)
 
 
 def test_components_ignores_loops_for_connectivity():
@@ -328,24 +328,24 @@ def test_count_matches_census_for_size_kinds(rng):
         g = random_multigraph(rng, n=25, m=20)
         cen = components(g)
         for k in (1, 2, 3, 4, 7):
-            assert property_counts(g, ComponentSizeExactly(k))[0] == cen.vertices_in_components_of_size(k)
+            assert count_property(g, ComponentSizeExactly(k))[0] == cen.vertices_in_components_of_size(k)
 
 
 def test_count_root_degree_regular():
     g = MultiGraph(4, [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2], [1, 3]])  # K4, 3-regular
-    assert property_counts(g, RootDegree(3))[0] == 4
+    assert count_property(g, RootDegree(3))[0] == 4
 
 
 def test_count_max_degree_ball_star():
     # Star on 4 vertices: the center has degree 3 > 2, and every leaf sees
     # it at distance 1, so nobody passes.
     g = MultiGraph(4, [[0, 1], [0, 2], [0, 3]])
-    assert property_counts(g, MaxDegreeBall(2, 1))[0] == 0
+    assert count_property(g, MaxDegreeBall(2, 1))[0] == 0
 
 
 def test_count_max_degree_ball_saturates(mixture_graph):
     delta = int(mixture_graph.degrees().max())
-    assert property_counts(mixture_graph, MaxDegreeBall(delta, 2))[0] == mixture_graph.n
+    assert count_property(mixture_graph, MaxDegreeBall(delta, 2))[0] == mixture_graph.n
 
 
 def test_ball_search_without_sources_reads_no_row():
@@ -363,20 +363,20 @@ def test_ball_search_without_sources_reads_no_row():
 def test_count_in_giant_on_connected_graph():
     g = MultiGraph(3, [[0, 1], [1, 2], [0, 2]])
     for prop in (RootDegree(2), ComponentSizeAtLeast(2)):
-        whole, in_giant = property_counts(g, prop)
+        whole, in_giant = count_property(g, prop)
         assert in_giant == whole
 
 
 def test_count_in_giant_excludes_small_components():
     g = MultiGraph(5, [[0, 1], [1, 2], [0, 2], [3, 4]])
-    whole, in_giant = property_counts(g, RootDegree(1))
+    whole, in_giant = count_property(g, RootDegree(1))
     assert in_giant == 0
     assert whole == 2
 
 
 def test_giant_degree_fraction_matches_closed_form(mixture, mixture_graph):
     n = mixture_graph.n
-    got = property_counts(mixture_graph, RootDegree(3))[1] / n
+    got = count_property(mixture_graph, RootDegree(3))[1] / n
     assert abs(got - 13 / 27) <= 0.02
 
 
@@ -403,7 +403,7 @@ def test_counts_track_tree_probabilities(mixture, mixture_graph):
     rng = np.random.default_rng(2718)
     for prop in props:
         assert radius(prop) <= 3
-        observed = property_counts(mixture_graph, prop)[0] / n
+        observed = count_property(mixture_graph, prop)[0] / n
         estimate, half_width = tree_property_probability(mixture, prop, 20_000, rng)
         assert abs(observed - estimate) <= 0.02 + half_width
 

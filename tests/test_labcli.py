@@ -189,7 +189,7 @@ def test_sweep_matches_split_reference():
             assert (record.params["trial"], record.params["p"]) == (trial, p)
             assert record.observed["L1_over_n"] == cen.largest / n
             assert record.observed["L2_over_n"] == cen.second_largest / n
-            assert record.observed["conf_distance_red"] == conf_distance(dred, thin(dist, p))
+            assert record.observed["conf_distance_red"] == conf_distance(dred.degrees, thin(dist, p))
     assert next(records, None) is None
 
 
@@ -573,3 +573,47 @@ def test_import_loads_no_test_only_dependency():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Runs each command line of argv[2] (a JSON list) through labcli.main in one
+# process, with scipy's import blocked when argv[1] is "blocked", and prints
+# each exit code and stdout as JSON.
+CLI_RUNNER = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from gclab.labcli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_every_command_runs_without_scipy(mixture_spec, regular3_spec):
+    # scipy is a test-only dependency: every command, with its import
+    # blocked, exits 0 with the stdout of a run that can import it.
+    commands = [
+        ["analyze", "--dist", mixture_spec],
+        ["giant", "--dist", mixture_spec, "--n", "2000", "--trials", "2", "--seed", "7"],
+        ["giant", "--dist", regular3_spec, "--n", "2000", "--trials", "2", "--seed", "7", "--simple"],
+        ["sweep", "--dist", regular3_spec, "--n", "2000", "--seed", "7", "--p", "0.7,0.3,0.5,1,0"],
+        ["local-census", "--dist", mixture_spec, "--n", "2000", "--seed", "7", "--property", "root_degree:3"],
+        ["local-census", "--dist", mixture_spec, "--n", "2000", "--seed", "7", "--property", "root_degree:3",
+         "--format", "json"],
+    ]
+    src = os.path.dirname(os.path.dirname(gclab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = {}
+    for mode in ("blocked", "open"):
+        done = subprocess.run(
+            [sys.executable, "-c", CLI_RUNNER, mode, json.dumps(commands)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        runs[mode] = json.loads(done.stdout)
+    assert [code for code, _ in runs["blocked"]] == [0] * len(commands)
+    assert runs["blocked"] == runs["open"]

@@ -63,7 +63,7 @@ def test_degrees_allocates_only_its_output(graph):
 def test_conf_distance_allocates_only_its_counts(degree_sequence, mixture):
     # Measured: 5.5 KB; its counts are four entries wide. bincount would
     # first copy the read-only degrees: 800 KB.
-    peak, _ = traced_peak(lambda: conf_distance(degree_sequence, mixture))
+    peak, _ = traced_peak(lambda: conf_distance(degree_sequence.degrees, mixture))
     assert peak <= 64 * 1024
 
 
@@ -202,8 +202,8 @@ BENCH_GRID = [0.3, 0.45, 0.5, 0.55, 0.7]
     [
         pytest.param("mixture", BENCH_GRID, 3.0, id="mixture-3.0"),
         pytest.param("regular3", BENCH_GRID, 2.40, id="regular3-2.4"),
-        pytest.param("mixture", [0.0, 1.0], 4.15, id="mixture-p0,1-4.15"),
-        pytest.param("regular3", [0.0, 1.0], 3.85, id="regular3-p0,1-3.85"),
+        pytest.param("mixture", [0.0, 1.0], 3.65, id="mixture-p0,1-3.65"),
+        pytest.param("regular3", [0.0, 1.0], 3.2, id="regular3-p0,1-3.2"),
     ],
 )
 def test_sweep_op_peak(request, law, grid, bound):
@@ -213,13 +213,12 @@ def test_sweep_op_peak(request, law, grid, bound):
     # Measured: 2.91 and 2.34 E on the mixture and reg3 over the benchmark's
     # grid, 3.51 and 3.06 E over 0 and 1, where the census at p = 1 holds
     # every row and takes the hook pass, which leaves few rows to re-read.
-    # Re-reading and hooking every row in rounds there: 4.07 and 3.73 E,
-    # the bounds these two cases keep in their names. Keeping the last
-    # census alive through the next, which copies its parents: 3.66, 2.34,
-    # 5.57 and 4.73 E. Keeping
-    # as well the degree sequence, the graph and every finished level alive
-    # through the census loop, and ending the census with a whole-array
-    # gather: 5.46 and 3.95 E over the benchmark's grid.
+    # Re-reading and hooking every row in rounds there: 4.07 and 3.73 E.
+    # Keeping the last census alive through the next, which copies its
+    # parents: 3.66, 2.34, 5.57 and 4.73 E. Keeping as well the degree
+    # sequence, the graph and every finished level alive through the census
+    # loop, and ending the census with a whole-array gather: 5.46 and
+    # 3.95 E over the benchmark's grid.
     dist = request.getfixturevalue(law)
     edge_bytes = op_edge_bytes(dist, 1)
     peak, _ = traced_peak(lambda: cmd_percolation_sweep(dist, 100_000, grid, 1, 1))

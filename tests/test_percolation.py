@@ -192,14 +192,14 @@ def test_thinned_distance_at_full_retention(mixture, rng):
     ds = sample_degree_sequence(mixture, 500, rng)
     g = to_multigraph(sample_pairing(ds, rng))
     red_g, _, dred, _ = split(color_edges(g, 1.0, rng))
-    assert conf_distance(dred, thin(mixture, 1.0)) == conf_distance(dred, mixture)
+    assert conf_distance(dred.degrees, thin(mixture, 1.0)) == conf_distance(dred.degrees, mixture)
 
 
 def test_thinned_distance_floor(mixture, rng):
     ds = DegreeSequence([1, 1, 1, 1])
     g = to_multigraph(sample_pairing(ds, rng))
     _, _, dred, _ = split(color_edges(g, 0.5, rng))
-    assert conf_distance(dred, thin(mixture, 0.5)) >= 0.25
+    assert conf_distance(dred.degrees, thin(mixture, 0.5)) >= 0.25
 
 
 def test_thinned_distance_concentrates(regular3):
@@ -210,7 +210,7 @@ def test_thinned_distance_concentrates(regular3):
         ds = sample_degree_sequence(regular3, n, rng)
         g = to_multigraph(sample_pairing(ds, rng))
         _, _, dred, _ = split(color_edges(g, 0.5, rng))
-        if conf_distance(dred, thin(regular3, 0.5)) <= 0.05:
+        if conf_distance(dred.degrees, thin(regular3, 0.5)) <= 0.05:
             hits += 1
     assert hits >= 99
 
