@@ -6,10 +6,11 @@ component-size predicates, the root-degree predicate, and the bounded-degree
 ball predicate used by the concentration machinery. ``clauses`` is the one
 reading of a spec; ``property_mask``, ``property_counts`` and
 ``branching.limit_probability`` consume it. A property is decided at every
-vertex in one vectorized pass (census or whole-array BFS steps over the edge
-rows), never one BFS per vertex, and its degree and ball clauses by one
-evaluator, ``degree_and_ball_mask``, which ``property_mask`` and
-``property_counts`` share.
+vertex in one vectorized pass (census or BFS steps over the edge rows, a
+block of rows at a time), never one BFS per vertex, its degree and ball
+clauses by one evaluator, ``degree_and_ball_mask``, and its size window by
+one in-place step, ``_size_window``; ``property_mask`` and
+``property_counts`` share both.
 """
 
 from __future__ import annotations
@@ -62,18 +63,6 @@ class ComponentCensus:
             return np.zeros(0, dtype=bool)
         return self.parent == self.roots[self.sizes.argmax()]
 
-    def size_window_mask(self, low: int, high: float) -> np.ndarray:
-        """The vertices whose component has between low and high vertices."""
-        # Decide per root, put each answer at its root, then gather bools by
-        # each vertex's root.
-        holds = self.sizes >= low
-        if high < math.inf:
-            holds &= self.sizes <= high
-        at_root = np.zeros(self.parent.size, dtype=bool)
-        at_root[self.roots] = holds
-        del holds
-        return at_root.take(self.parent)
-
 
 def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentCensus:
     """Exact component decomposition; loops are ignored for connectivity.
@@ -122,6 +111,20 @@ def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentC
     p, or a root that round 2 hooks, and every chain from a hooked end of
     round 2 runs through hooked ends to a root, as in a later round.
 
+    Round 2's jump saves rounds; the census is right without it. Without
+    it, an end h of round 3 need not be a root, but it is then read from a
+    round-2 end e that points at h through a row (h, e) of round 2: the row
+    that hooked e onto h, or, where round 2 left e's first-round link to h,
+    the row (h, e) that this link's row became (e is such a p). That row's
+    re-read is (parent[h], h), a row of round 3, so round 3 hooks h along
+    it and, as in round 2, lowering h's parent drops no link that is not
+    still a row. Round 3 jumps every end it hooks, h among them, and an end
+    it does not hook is a root, so every end of round 4 is a root; and each
+    end of round 2 points at such an h or at a root, final or kept by a
+    later round, so the relabel below still reaches its final root. On a
+    path in label order it takes three re-reads without the jump, two with
+    it.
+
     In a later round every edge end is a root, and only the larger ends
     (``hi``) are hooked, onto ends of the same round, so every pointer chain
     that starts at a hooked end runs through hooked ends to a root, and
@@ -150,10 +153,13 @@ def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentC
     c, the number of components. Its peak is then in the rounds before
     (the parents, a flag per row and a block's temporaries): 0.75 edge
     arrays on the mixture at n = 10^5, against 1.10 for a count of length
-    n. Below 0.9 n rows (each level of a reg3 sweep over p = 0.3, 0.45,
-    0.5, 0.55, 0.7 holds 0.075-0.45 n) the sizes are one bincount over the
-    n vertex ids, whose nonzero entries name the roots: there the ranked
-    tail's two more passes over the parents cost more time than the count.
+    n. At n = 10^6, where a block's temporaries weigh less, the tail sets
+    it, as the roots are read from their flags (the parents, the flags and
+    the roots): 0.60 edge arrays, against 0.57 in the rounds. Below 0.9 n
+    rows (each level of a reg3 sweep over p = 0.3, 0.45, 0.5, 0.55, 0.7
+    holds 0.075-0.45 n) the sizes are one bincount over the n vertex ids,
+    whose nonzero entries name the roots: there the ranked tail's two more
+    passes over the parents cost more time than the count.
     """
     n = graph.n
     lo, hi = graph.edges[:, 0], graph.edges[:, 1]
@@ -201,12 +207,16 @@ def _ranked_census(parent: np.ndarray) -> ComponentCensus:
     """The census from parents that each point at a vertex that points at
     the final root, counted by the roots' ranks, without an n-sized count.
 
-    The last gather flags the roots as it goes. For a moment each root's
-    slot holds its rank in vertex order, and every other vertex reads its
-    root's rank in place, a block at a time: only roots are read and only
-    other vertices are written, so the blocks may run in any order. The
-    sizes are a count of length c, the number of components, and the ranks
-    then go back to roots in place.
+    The last gather flags the roots as it goes, and the flags go as soon as
+    the roots are read from them. For a moment each root's slot holds its
+    rank in vertex order, and every vertex reads its root's rank with a
+    plain take, a block at a time. A root's own read is of no use, so each
+    block then puts its roots' ranks back, the block's share of ``roots``
+    found by one searchsorted over the block bounds. Only roots are read,
+    and each holds its rank again before the next block, so the blocks may
+    run in any order. The sizes are a count of length c, the number of
+    components, and the ranks then go back to roots in place. Beside the
+    parents and the roots nothing n-sized is held after the flags.
     """
     n = parent.size
     is_root = np.empty(n, dtype=bool)
@@ -215,11 +225,13 @@ def _ranked_census(parent: np.ndarray) -> ComponentCensus:
         block[...] = parent.take(block)
         np.equal(block, np.arange(first, first + block.size), out=is_root[first : first + BLOCK])
     roots = np.flatnonzero(is_root)
-    parent[roots] = np.arange(roots.size)
-    for first in range(0, n, BLOCK):
-        block = parent[first : first + BLOCK]
-        np.copyto(block, parent.take(block), where=~is_root[first : first + BLOCK])
     del is_root
+    parent[roots] = np.arange(roots.size)
+    below = np.searchsorted(roots, range(BLOCK, n + BLOCK, BLOCK)).tolist()
+    for first, start, stop in zip(range(0, n, BLOCK), [0, *below], below):
+        block = parent[first : first + BLOCK]
+        block[...] = parent.take(block)
+        parent[roots[start:stop]] = np.arange(start, stop)
     sizes = np.bincount(parent, minlength=roots.size)
     for first in range(0, n, BLOCK):
         block = parent[first : first + BLOCK]
@@ -366,8 +378,7 @@ def property_mask(
     mask = degree_and_ball_mask(graph, prop)
     _, _, low, high = clauses(prop)
     if (low, high) != (1, math.inf):
-        census = census if census is not None else components(graph)
-        mask &= census.size_window_mask(low, high)
+        _size_window(mask, census if census is not None else components(graph), low, high)
     return mask
 
 
@@ -376,12 +387,38 @@ def property_counts(graph: MultiGraph, prop: LocalProperty, mask: np.ndarray) ->
     its largest component. ``mask`` is ``degree_and_ball_mask(graph, prop)``,
     which this then owns: as in ``property_mask``, the degree and ball
     clauses are decided before the census, so the degrees are freed before
-    it."""
+    it. The size window and the giant's hits go a block of vertices at a
+    time, so beside the census and the mask only the window's flag per
+    vertex is n-sized."""
     _, _, low, high = clauses(prop)
     census = components(graph)
     if (low, high) != (1, math.inf):
-        mask &= census.size_window_mask(low, high)
-    return int(np.count_nonzero(mask)), int(np.count_nonzero(mask & census.giant_mask()))
+        _size_window(mask, census, low, high)
+    whole = int(np.count_nonzero(mask))
+    if not whole:
+        return 0, 0
+    giant_root = census.roots[census.sizes.argmax()]
+    giant = 0
+    for first in range(0, mask.size, BLOCK):
+        block = slice(first, first + BLOCK)
+        giant += int(np.count_nonzero(mask[block] & (census.parent[block] == giant_root)))
+    return whole, giant
+
+
+def _size_window(mask: np.ndarray, census: ComponentCensus, low: int, high: float) -> None:
+    """Keep in mask only the vertices whose component has between low and
+    high vertices, in place. Each component's answer is put at its root,
+    in a flag per vertex, and read through the parents a block of vertices
+    at a time."""
+    holds = census.sizes >= low
+    if high < math.inf:
+        holds &= census.sizes <= high
+    at_root = np.zeros(mask.size, dtype=bool)
+    at_root[census.roots] = holds
+    del holds
+    for first in range(0, mask.size, BLOCK):
+        block = slice(first, first + BLOCK)
+        mask[block] &= at_root.take(census.parent[block])
 
 
 def degree_and_ball_mask(
@@ -401,7 +438,9 @@ def degree_and_ball_mask(
         heavy = [degrees > delta for delta, _ in balls]
         del degrees
         for (_, t), sources in zip(balls, heavy):
-            mask &= ~_within_distance(graph, sources, t)
+            outside = _within_distance(graph, sources, t)
+            np.logical_not(outside, out=outside)
+            mask &= outside
     return mask
 
 
@@ -409,19 +448,25 @@ def _within_distance(graph: MultiGraph, sources: np.ndarray, t: int) -> np.ndarr
     """Vertices within graph distance <= t of any source (multi-source BFS).
 
     Each step marks both ends of every edge row with a reached end (a loop
-    marks its own, already reached, vertex); a step that reaches nothing new
-    ends it. Without a source there is no step to take.
+    marks its own, already reached, vertex), a block of rows at a time, so
+    a step holds two flags per vertex and a block's temporaries. A step
+    that reaches nothing new ends it, and without a source none is taken.
+    No step writes the flags it reads, so the first step reads sources in
+    place, and where no step runs, sources itself is returned.
     """
     if not sources.any():
         return sources
     # [] on the strided columns: take would first copy each to a contiguous one.
     u, v = graph.edges[:, 0], graph.edges[:, 1]
-    reached = sources.copy()
+    reached = sources
     for _ in range(t):
         grown = reached.copy()
-        grown[u[reached[v]]] = True
-        grown[v[reached[u]]] = True
-        if np.array_equal(grown, reached):
+        for first in range(0, u.size, BLOCK):
+            block_u, block_v = u[first : first + BLOCK], v[first : first + BLOCK]
+            grown[block_u[reached[block_v]]] = True
+            grown[block_v[reached[block_u]]] = True
+        # grown holds reached, so equal counts mean equal flags.
+        if np.count_nonzero(grown) == np.count_nonzero(reached):
             break
         reached = grown
     return reached
