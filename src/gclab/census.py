@@ -149,17 +149,18 @@ def components(graph: MultiGraph, start: np.ndarray | None = None) -> ComponentC
 
     The census holds the roots in vertex order and their sizes. With at
     least 0.9 n rows they come from the roots' ranks (``_ranked_census``):
-    the last gather flags the roots, and the sizes are a count of length
-    c, the number of components. Its peak is then in the rounds before
-    (the parents, a flag per row and a block's temporaries): 0.75 edge
-    arrays on the mixture at n = 10^5, against 1.10 for a count of length
-    n. At n = 10^6, where a block's temporaries weigh less, the tail sets
-    it, as the roots are read from their flags (the parents, the flags and
-    the roots): 0.60 edge arrays, against 0.57 in the rounds. Below 0.9 n
-    rows (each level of a reg3 sweep over p = 0.3, 0.45, 0.5, 0.55, 0.7
-    holds 0.075-0.45 n) the sizes are one bincount over the n vertex ids,
-    whose nonzero entries name the roots: there the ranked tail's two more
-    passes over the parents cost more time than the count.
+    the last gather flags the roots, the vertices read the ranks from the
+    top block down (a root, its component's least vertex, is read before
+    any block overwrites it), and the sizes are a count of length c, the
+    number of components. Its peak is then in the rounds before (the
+    parents, a flag per row and a block's temporaries): 0.75 edge arrays
+    on the mixture at n = 10^5, against 1.10 for a count of length n. At
+    n = 10^6, where a block's temporaries weigh less, the tail sets it, as
+    the roots are read from their flags (the parents, the flags and the
+    roots): 0.60 edge arrays, against 0.57 in the rounds. Below 0.9 n rows
+    (each level of a reg3 sweep over p = 0.3-0.7 holds 0.075-0.45 n) the
+    sizes are one bincount over the n vertex ids, whose nonzero entries
+    name the roots: there the ranked tail's passes cost more than the count.
     """
     n = graph.n
     lo, hi = graph.edges[:, 0], graph.edges[:, 1]
@@ -210,13 +211,13 @@ def _ranked_census(parent: np.ndarray) -> ComponentCensus:
     The last gather flags the roots as it goes, and the flags go as soon as
     the roots are read from them. For a moment each root's slot holds its
     rank in vertex order, and every vertex reads its root's rank with a
-    plain take, a block at a time. A root's own read is of no use, so each
-    block then puts its roots' ranks back, the block's share of ``roots``
-    found by one searchsorted over the block bounds. Only roots are read,
-    and each holds its rank again before the next block, so the blocks may
-    run in any order. The sizes are a count of length c, the number of
-    components, and the ranks then go back to roots in place. Beside the
-    parents and the roots nothing n-sized is held after the flags.
+    plain take, a block at a time from the top block down: a root is its
+    component's smallest vertex, so a block reads only root slots in itself
+    (the take reads before it writes) or below, none yet overwritten. The
+    roots' own reads are put back once, after the pass. The sizes are a
+    count of length c, the number of components, and the ranks then go
+    back to roots in place. Beside the parents and the roots nothing
+    n-sized is held after the flags.
     """
     n = parent.size
     is_root = np.empty(n, dtype=bool)
@@ -227,11 +228,10 @@ def _ranked_census(parent: np.ndarray) -> ComponentCensus:
     roots = np.flatnonzero(is_root)
     del is_root
     parent[roots] = np.arange(roots.size)
-    below = np.searchsorted(roots, range(BLOCK, n + BLOCK, BLOCK)).tolist()
-    for first, start, stop in zip(range(0, n, BLOCK), [0, *below], below):
+    for first in reversed(range(0, n, BLOCK)):
         block = parent[first : first + BLOCK]
         block[...] = parent.take(block)
-        parent[roots[start:stop]] = np.arange(start, stop)
+    parent[roots] = np.arange(roots.size)
     sizes = np.bincount(parent, minlength=roots.size)
     for first in range(0, n, BLOCK):
         block = parent[first : first + BLOCK]

@@ -184,27 +184,27 @@ def sample(dist: Distribution, rng: np.random.Generator, size) -> np.ndarray:
     """Draw ``size`` values as an int64 array; deterministic given the
     generator state. ``size`` is required: there is no scalar draw.
 
-    Inversion with a guide table (Chen and Asau 1974): a uniform u in
-    [j/w, (j+1)/w) starts at guide[j], the index of j/w, and steps up
-    while the cdf there is at most u, so every index is
-    ``searchsorted(cdf, u, side="right")``. w is the least power of two
-    at or above the number of atoms, so u*w is exact and below w. The
-    values go a block at a time into the uniforms' own buffer.
+    Inversion with a guide table (Chen and Asau 1974): u in [j/w, (j+1)/w)
+    reads guide[j], the index of j/w, and the u at or past the cdf there
+    get one exact search, so every index is ``searchsorted(cdf, u,
+    side="right")`` and a block costs the same on every law (a walk up from
+    the guide takes a pass per atom in the most crowded cell: 3.3 s per 10^6
+    draws on r_k ~ k^-2.2, k <= 10^4). w is 4 times the least power of two
+    at or above the number of atoms, so u*w is exact and below w, and few u
+    need the search (one cell per atom sends 40% of {1: .3, 2: .2, 4: .3,
+    6: .2} there). The values go a block at a time into the uniforms' buffer.
     """
     cdf = np.cumsum(dist.probs)
     cdf[-1] = 1.0
-    width = 1 << (cdf.size - 1).bit_length()
+    width = 4 << (cdf.size - 1).bit_length()
     guide = np.searchsorted(cdf, np.arange(width) / width, side="right")
     draws = rng.random(size)
     values = draws.view(np.int64)
     for first in range(0, draws.size, BLOCK):
         u = draws[first : first + BLOCK]
         idx = guide.take((u * width).astype(np.int64))
-        while True:
-            step = cdf.take(idx) <= u
-            if not step.any():
-                break
-            idx += step
+        late = cdf.take(idx) <= u
+        idx[late] = np.searchsorted(cdf, u[late], side="right")
         values[first : first + BLOCK] = dist.support.take(idx)
     return values
 
